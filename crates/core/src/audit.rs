@@ -11,7 +11,6 @@
 use crate::alloc::{Allocation, Shape};
 use crate::conditions::check_shape;
 use jigsaw_topology::SystemState;
-use std::collections::HashMap;
 use std::fmt;
 
 /// An audit finding. Any finding means the system is corrupt.
@@ -57,6 +56,22 @@ pub enum AuditError {
         /// The offending job.
         job: u32,
     },
+    /// An allocation names a node id outside the tree.
+    NodeOutOfRange {
+        /// The offending job.
+        job: u32,
+        /// The out-of-range node id.
+        node: u32,
+    },
+    /// An allocation names a link id outside the tree.
+    LinkOutOfRange {
+        /// The offending job.
+        job: u32,
+        /// `true` for a leaf↔L2 link, `false` for L2↔spine.
+        leaf_layer: bool,
+        /// The out-of-range link id.
+        link: u32,
+    },
 }
 
 impl fmt::Display for AuditError {
@@ -86,35 +101,76 @@ impl fmt::Display for AuditError {
             AuditError::ShapeNodeMismatch { job } => {
                 write!(f, "job {job}: shape and node list disagree")
             }
+            AuditError::NodeOutOfRange { job, node } => {
+                write!(f, "job {job} names node {node}, outside the tree")
+            }
+            AuditError::LinkOutOfRange {
+                job,
+                leaf_layer,
+                link,
+            } => write!(
+                f,
+                "job {job} names {} link {link}, outside the tree",
+                if *leaf_layer { "leaf" } else { "spine" }
+            ),
         }
     }
 }
 
 /// Audit `state` against the complete set of live allocations. Returns
 /// every finding (empty = healthy).
+///
+/// Claims are tallied in dense per-node and per-link vectors, so the cost
+/// is linear in the machine plus the live set. An id outside the tree (a
+/// corrupt allocation, say from a decoded journal) is itself a finding.
 pub fn audit_system(state: &SystemState, live: &[Allocation]) -> Vec<AuditError> {
     let tree = state.tree();
     let mut errors = Vec::new();
 
     // --- Double-booking across allocations. --------------------------------
-    let mut node_claims: HashMap<u32, u32> = HashMap::new();
-    let mut leaf_link_claims: HashMap<u32, u32> = HashMap::new();
-    let mut spine_link_claims: HashMap<u32, u32> = HashMap::new();
+    // The last allocation to claim a node is its recorded owner.
+    let mut node_claims: Vec<Option<u32>> = vec![None; tree.num_nodes() as usize];
+    let mut leaf_link_claimed = vec![false; tree.num_leaf_links() as usize];
+    let mut spine_link_claimed = vec![false; tree.num_spine_links() as usize];
     for alloc in live {
+        let job = alloc.job.0;
         for n in &alloc.nodes {
-            if node_claims.insert(n.0, alloc.job.0).is_some() {
-                errors.push(AuditError::NodeDoubleBooked { node: n.0 });
+            match node_claims.get_mut(n.idx()) {
+                Some(slot) => {
+                    if slot.replace(job).is_some() {
+                        errors.push(AuditError::NodeDoubleBooked { node: n.0 });
+                    }
+                }
+                None => errors.push(AuditError::NodeOutOfRange { job, node: n.0 }),
             }
         }
         if alloc.bw_tenths == 0 {
             for l in &alloc.leaf_links {
-                if leaf_link_claims.insert(l.0, alloc.job.0).is_some() {
-                    errors.push(AuditError::LeafLinkDoubleBooked { link: l.0 });
+                match leaf_link_claimed.get_mut(l.idx()) {
+                    Some(claimed) => {
+                        if std::mem::replace(claimed, true) {
+                            errors.push(AuditError::LeafLinkDoubleBooked { link: l.0 });
+                        }
+                    }
+                    None => errors.push(AuditError::LinkOutOfRange {
+                        job,
+                        leaf_layer: true,
+                        link: l.0,
+                    }),
                 }
             }
             for l in &alloc.spine_links {
-                if spine_link_claims.insert(l.0, alloc.job.0).is_some() {
-                    errors.push(AuditError::SpineLinkDoubleBooked { link: l.0 });
+                match spine_link_claimed.get_mut(l.idx()) {
+                    Some(claimed) => {
+                        if std::mem::replace(claimed, true) {
+                            errors.push(AuditError::SpineLinkDoubleBooked { link: l.0 });
+                        }
+                    }
+                    None => errors.push(AuditError::LinkOutOfRange {
+                        job,
+                        leaf_layer: false,
+                        link: l.0,
+                    }),
                 }
             }
         }
@@ -123,8 +179,7 @@ pub fn audit_system(state: &SystemState, live: &[Allocation]) -> Vec<AuditError>
     // --- Ownership agreement with the state. --------------------------------
     for node in tree.nodes() {
         let state_owner = state.node_owner(node).map(|j| j.0);
-        let live_owner = node_claims.get(&node.0).copied();
-        if state_owner != live_owner {
+        if state_owner != node_claims[node.idx()] {
             errors.push(AuditError::OwnershipMismatch { node: node.0 });
         }
     }
@@ -275,5 +330,56 @@ mod tests {
         assert!(errors
             .iter()
             .any(|e| matches!(e, AuditError::ShapeNodeMismatch { .. })));
+    }
+
+    #[test]
+    fn out_of_range_node_is_a_finding() {
+        let tree = FatTree::maximal(4).unwrap();
+        let mut state = SystemState::new(tree);
+        let mut jig = JigsawAllocator::new(&tree);
+        let mut a = jig
+            .try_admit(&mut state, &JobRequest::new(JobId(1), 2))
+            .unwrap();
+        let bogus = jigsaw_topology::ids::NodeId(tree.num_nodes() + 7);
+        a.nodes.push(bogus);
+        let errors = audit_system(&state, &[a]);
+        assert!(
+            errors.contains(&AuditError::NodeOutOfRange {
+                job: 1,
+                node: bogus.0
+            }),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_links_are_findings() {
+        let tree = FatTree::maximal(8).unwrap();
+        let mut state = SystemState::new(tree);
+        let mut jig = JigsawAllocator::new(&tree);
+        // A multi-pod job holds exclusive leaf and spine links.
+        let mut a = jig
+            .try_admit(&mut state, &JobRequest::new(JobId(3), 40))
+            .unwrap();
+        assert_eq!(a.bw_tenths, 0);
+        let leaf = jigsaw_topology::ids::LeafLinkId(tree.num_leaf_links());
+        let spine = jigsaw_topology::ids::SpineLinkId(u32::MAX);
+        a.leaf_links.push(leaf);
+        a.spine_links.push(spine);
+        let errors = audit_system(&state, &[a]);
+        for e in [
+            AuditError::LinkOutOfRange {
+                job: 3,
+                leaf_layer: true,
+                link: leaf.0,
+            },
+            AuditError::LinkOutOfRange {
+                job: 3,
+                leaf_layer: false,
+                link: spine.0,
+            },
+        ] {
+            assert!(errors.contains(&e), "missing {e}: {errors:?}");
+        }
     }
 }

@@ -45,7 +45,6 @@ use jigsaw_topology::SystemState;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One migration: move `job` from its current placement to a new one.
 ///
@@ -240,40 +239,59 @@ pub fn plan_migrations(
 /// ranked by that cost ascending (ties by leaf id); each contributes its
 /// resident jobs smallest-first (ties by job id), and a job spanning
 /// several leaves is listed at its best-ranked leaf.
+///
+/// Linear bookkeeping: cost, rank and the per-allocation dedup are dense
+/// vectors indexed by leaf id, and each allocation's sort key is computed
+/// once. Untouched leaves rank (cost 0) ahead of every touched one, which
+/// shifts all touched ranks equally and so leaves the order unchanged.
 fn leaf_coherent_order(state: &SystemState, live: &[Allocation]) -> Vec<usize> {
     let tree = state.tree();
-    let mut leaf_cost: HashMap<u32, u64> = HashMap::new();
-    for a in live {
-        let mut touched: Vec<u32> = a.nodes.iter().map(|&n| tree.leaf_of_node(n).0).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for l in touched {
-            *leaf_cost.entry(l).or_insert(0) += a.nodes.len() as u64;
+    let leaves = tree.num_leaves() as usize;
+    let mut cost = vec![0u64; leaves];
+    // The last allocation (index into `live`) that charged each leaf: a
+    // job charges every leaf it touches exactly once.
+    let mut charged_by = vec![usize::MAX; leaves];
+    for (i, a) in live.iter().enumerate() {
+        for &n in &a.nodes {
+            let l = tree.leaf_of_node(n).idx();
+            if charged_by[l] != i {
+                charged_by[l] = i;
+                cost[l] += a.nodes.len() as u64;
+            }
         }
     }
-    let mut leaves: Vec<(u64, u32)> = leaf_cost.iter().map(|(&l, &c)| (c, l)).collect();
-    leaves.sort_unstable();
-    let rank: HashMap<u32, usize> = leaves
+    let mut by_cost: Vec<usize> = (0..leaves).collect();
+    by_cost.sort_unstable_by_key(|&l| (cost[l], l));
+    let mut rank = vec![0usize; leaves];
+    for (r, &l) in by_cost.iter().enumerate() {
+        rank[l] = r;
+    }
+    let keys: Vec<(usize, usize, u32)> = live
         .iter()
-        .enumerate()
-        .map(|(r, &(_, l))| (l, r))
+        .map(|a| {
+            let best = a
+                .nodes
+                .iter()
+                .map(|&n| rank[tree.leaf_of_node(n).idx()])
+                .min()
+                .unwrap_or(usize::MAX);
+            (best, a.nodes.len(), a.job.0)
+        })
         .collect();
     let mut order: Vec<usize> = (0..live.len()).collect();
-    order.sort_by_key(|&i| {
-        let best = live[i]
-            .nodes
-            .iter()
-            .map(|&n| rank[&tree.leaf_of_node(n).0])
-            .min()
-            .unwrap_or(usize::MAX);
-        (best, live[i].nodes.len(), live[i].job.0)
-    });
+    order.sort_by_key(|&i| keys[i]);
     order
 }
 
-/// Execute one candidate eviction order on scratch clones. Returns the
+/// Execute one candidate eviction order on a scratch clone. Returns the
 /// sequenced, audited plan and its score (nodes moved) or `None` when the
 /// order yields no valid bounded plan.
+///
+/// Most calls find no plan, so the failing path is kept cheap: one scratch
+/// state and allocator serve the whole order, every failed step is undone
+/// by releasing what it claimed (claims and releases are exact inverses),
+/// and the audit set is built only for a candidate whose evicted jobs were
+/// all re-homed.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_order(
     alloc: &dyn Allocator,
@@ -288,18 +306,19 @@ fn evaluate_order(
     // but some evicted job cannot be re-homed is not a dead end — the next
     // eviction frees more room for BOTH the request and the re-placements
     // — so phase-2 failure falls through to a longer prefix instead of
-    // aborting the whole order.
-    'prefix: for k in 1..=max_moves.min(order.len()) {
-        let mut scratch = state.clone();
-        let mut salloc = alloc.clone_box();
+    // aborting the whole order. Prefix k extends prefix k-1 by one
+    // victim, so the scratch pair carries over: a rejecting `decide`
+    // claims nothing, and an admission whose phase 2 fails is released
+    // before the next victim goes.
+    let mut scratch = state.clone();
+    let mut salloc = alloc.clone_box();
+    for k in 1..=max_moves.min(order.len()) {
         let evicted = &order[..k];
-        for &idx in evicted {
-            salloc.release(&mut scratch, &live[idx]);
-        }
+        salloc.release(&mut scratch, &live[order[k - 1]]);
 
         // Phase 1: does the blocked request fit after these evictions?
         let Decision::Admit(admits) = salloc.decide(&mut scratch, req) else {
-            continue 'prefix;
+            continue;
         };
 
         // Phase 2: re-place every evicted job. The re-placement order
@@ -309,62 +328,110 @@ fn evaluate_order(
         // execute. Try a small deterministic family of orders; the first
         // one that yields a sound, acyclic plan wins. Largest-first leads
         // (big jobs have the fewest placement options; give them first
-        // pick of the holes). The triggering job is already claimed in
-        // `scratch`, so every re-placement is disjoint from `admits` by
-        // construction.
+        // pick of the holes). An order equal to one already tried would
+        // fail the same way and is skipped (for k = 1 all three coincide).
+        // The triggering job is already claimed in `scratch`, so every
+        // re-placement is disjoint from `admits` by construction.
         let mut largest_first: Vec<usize> = evicted.to_vec();
         largest_first.sort_by_key(|&i| (std::cmp::Reverse(live[i].nodes.len()), live[i].job.0));
         let mut eviction_rev: Vec<usize> = evicted.to_vec();
         eviction_rev.reverse();
         let candidates = [largest_first, evicted.to_vec(), eviction_rev];
-        'orders: for replace_order in &candidates {
-            let mut scratch = scratch.clone();
-            let mut salloc = salloc.clone_box();
-            let mut moves: Vec<Migration> = Vec::new();
-            let mut scratch_live: Vec<Allocation> = (0..live.len())
-                .filter(|i| !evicted.contains(i))
-                .map(|i| live[i].clone())
-                .collect();
-            scratch_live.push(admits.clone());
-            for &i in replace_order {
-                let old = &live[i];
-                let back = JobRequest::with_bandwidth(old.job, old.requested, old.bw_tenths);
-                let Decision::Admit(new_placement) = salloc.decide(&mut scratch, &back) else {
-                    continue 'orders; // cannot re-home everyone at this depth
-                };
-                scratch_live.push(new_placement.clone());
-                if new_placement != *old {
-                    moves.push(Migration {
-                        job: old.job,
-                        from: old.clone(),
-                        to: new_placement,
-                    });
-                }
+        for (c, replace_order) in candidates.iter().enumerate() {
+            if candidates[..c].contains(replace_order) {
+                continue;
             }
-
-            // Soundness gate: the fully-executed scratch schedule must
-            // audit clean (defensive — a failure here is an allocator
-            // bug, not a caller error).
-            if !audit_system(&scratch, &scratch_live).is_empty() {
-                continue 'orders;
+            let replaced = replace_evicted(
+                salloc.as_mut(),
+                &mut scratch,
+                live,
+                evicted,
+                replace_order,
+                &admits,
+            );
+            if let Some(moves) = replaced {
+                let score = moves.iter().map(Migration::nodes_moved).sum();
+                return Some((
+                    MigrationPlan {
+                        admits,
+                        blocking,
+                        moves,
+                    },
+                    score,
+                ));
             }
-
-            // Cyclic swap under this order: try the next one.
-            let Some(moves) = sequence_moves(moves) else {
-                continue 'orders;
-            };
-            let score = moves.iter().map(Migration::nodes_moved).sum();
-            return Some((
-                MigrationPlan {
-                    admits,
-                    blocking,
-                    moves,
-                },
-                score,
-            ));
         }
+        salloc.release(&mut scratch, &admits);
+        salloc.recycle(admits);
     }
     None
+}
+
+/// Phase 2 of [`evaluate_order`] for one re-placement order, run on the
+/// phase-1 scratch pair (which already holds `admits`). Returns the
+/// sequenced moves, or `None` — with every re-placement released again —
+/// when some evicted job cannot be re-homed, the executed schedule fails
+/// the audit, or the moves form a cycle.
+fn replace_evicted(
+    salloc: &mut dyn Allocator,
+    scratch: &mut SystemState,
+    live: &[Allocation],
+    evicted: &[usize],
+    replace_order: &[usize],
+    admits: &Allocation,
+) -> Option<Vec<Migration>> {
+    let mut placed: Vec<Allocation> = Vec::with_capacity(replace_order.len());
+    for &i in replace_order {
+        let old = &live[i];
+        let back = JobRequest::with_bandwidth(old.job, old.requested, old.bw_tenths);
+        let Decision::Admit(new_placement) = salloc.decide(scratch, &back) else {
+            break; // cannot re-home everyone at this depth
+        };
+        placed.push(new_placement);
+    }
+    if placed.len() == replace_order.len() {
+        if let Some(moves) = audited_moves(scratch, live, evicted, replace_order, admits, &placed) {
+            return Some(moves);
+        }
+    }
+    for p in placed.into_iter().rev() {
+        salloc.release(scratch, &p);
+        salloc.recycle(p);
+    }
+    None
+}
+
+/// The moves of a fully re-homed candidate, sequenced, provided the
+/// executed scratch schedule audits clean (defensive — a failure here is
+/// an allocator bug, not a caller error) and the moves form no cycle.
+fn audited_moves(
+    scratch: &SystemState,
+    live: &[Allocation],
+    evicted: &[usize],
+    replace_order: &[usize],
+    admits: &Allocation,
+    placed: &[Allocation],
+) -> Option<Vec<Migration>> {
+    let mut scratch_live: Vec<Allocation> = (0..live.len())
+        .filter(|i| !evicted.contains(i))
+        .map(|i| live[i].clone())
+        .collect();
+    scratch_live.push(admits.clone());
+    scratch_live.extend_from_slice(placed);
+    if !audit_system(scratch, &scratch_live).is_empty() {
+        return None;
+    }
+    let moves = replace_order
+        .iter()
+        .zip(placed)
+        .filter(|&(&i, to)| *to != live[i])
+        .map(|(&i, to)| Migration {
+            job: live[i].job,
+            from: live[i].clone(),
+            to: to.clone(),
+        })
+        .collect();
+    sequence_moves(moves)
 }
 
 /// Order `moves` so they are sequentially applicable: each move's `to`
@@ -569,6 +636,8 @@ mod tests {
     use super::*;
     use crate::Scheme;
     use jigsaw_topology::FatTree;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// Fragment a radix-8 machine (128 nodes, 4-node leaves, 16-node pods):
     /// fill every leaf with a 3-node job plus a 1-node job, then free every
@@ -765,5 +834,87 @@ mod tests {
             to: a.clone(),
         }];
         assert_eq!(sequence_moves(solo.clone()), Some(solo));
+    }
+
+    /// The `HashMap` version of [`leaf_coherent_order`], kept as the oracle
+    /// its dense rewrite must match.
+    fn leaf_coherent_order_oracle(state: &SystemState, live: &[Allocation]) -> Vec<usize> {
+        let tree = state.tree();
+        let mut leaf_cost: HashMap<u32, u64> = HashMap::new();
+        for a in live {
+            let mut touched: Vec<u32> = a.nodes.iter().map(|&n| tree.leaf_of_node(n).0).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            for l in touched {
+                *leaf_cost.entry(l).or_insert(0) += a.nodes.len() as u64;
+            }
+        }
+        let mut leaves: Vec<(u64, u32)> = leaf_cost.iter().map(|(&l, &c)| (c, l)).collect();
+        leaves.sort_unstable();
+        let rank: HashMap<u32, usize> = leaves
+            .iter()
+            .enumerate()
+            .map(|(r, &(_, l))| (l, r))
+            .collect();
+        let mut order: Vec<usize> = (0..live.len()).collect();
+        order.sort_by_key(|&i| {
+            let best = live[i]
+                .nodes
+                .iter()
+                .map(|&n| rank[&tree.leaf_of_node(n).0])
+                .min()
+                .unwrap_or(usize::MAX);
+            (best, live[i].nodes.len(), live[i].job.0)
+        });
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random churn on a radix-8 machine: admit `sizes`, complete the
+        /// jobs `releases` picks, backfill with 1-node fillers and complete
+        /// every other filler — sub-leaf holes, multi-leaf jobs and many
+        /// equal-size ties in the candidate order.
+        #[test]
+        fn leaf_coherent_order_matches_the_hashmap_oracle(
+            sizes in proptest::collection::vec(1u32..40, 1..40),
+            releases in proptest::collection::vec(any::<usize>(), 0..12),
+        ) {
+            let tree = FatTree::maximal(8).unwrap();
+            let mut state = SystemState::new(tree);
+            let mut alloc = Scheme::Jigsaw.make(&tree);
+            let mut live = Vec::new();
+            for (i, &size) in sizes.iter().enumerate() {
+                if let Ok(a) = alloc.try_admit(&mut state, &JobRequest::new(JobId(i as u32), size)) {
+                    live.push(a);
+                }
+            }
+            let mut filler = 10_000u32;
+            for &r in &releases {
+                if live.is_empty() {
+                    break;
+                }
+                let done = live.swap_remove(r % live.len());
+                alloc.release(&mut state, &done);
+                while let Ok(a) = alloc.try_admit(&mut state, &JobRequest::new(JobId(filler), 1)) {
+                    live.push(a);
+                    filler += 1;
+                }
+            }
+            let mut i = 0;
+            live.retain(|a| {
+                i += 1;
+                let keep = a.job.0 < 10_000 || i % 2 == 0;
+                if !keep {
+                    crate::alloc::release_allocation(&mut state, a);
+                }
+                keep
+            });
+            prop_assert_eq!(
+                leaf_coherent_order(&state, &live),
+                leaf_coherent_order_oracle(&state, &live)
+            );
+        }
     }
 }

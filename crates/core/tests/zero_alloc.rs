@@ -10,9 +10,13 @@
 //!
 //! TA is exempt: its sharing-class bookkeeping (hash maps keyed by job)
 //! is not on the single-digit-microsecond trajectory and stays heap-backed.
+//!
+//! The count is per thread: the test harness runs tests on parallel
+//! threads, and only the measuring thread's allocations inside its armed
+//! window may count against it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use jigsaw_core::{Allocation, Allocator, JobRequest, Scheme};
 use jigsaw_topology::ids::JobId;
@@ -24,13 +28,28 @@ use jigsaw_topology::{FatTree, SystemState};
 /// has nothing of its own to free).
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's allocation count while armed; `None` when disarmed.
+    /// `const`-initialised and drop-free, so reading it from inside the
+    /// global allocator never allocates.
+    static ALLOCS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Count one allocation against the current thread, if it is armed.
+fn note_alloc() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = ALLOCS.try_with(|n| {
+        if let Some(count) = n.get() {
+            n.set(Some(count + 1));
+        }
+    });
+}
 
 // jigsaw-lint: allow(R5) -- GlobalAlloc is an unsafe trait; this test-only shim forwards to System
 unsafe impl GlobalAlloc for CountingAlloc {
     // jigsaw-lint: allow(R5) -- unsafe signature mandated by the GlobalAlloc trait
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         // jigsaw-lint: allow(R5) -- direct forward to the system allocator
         unsafe { System.alloc(layout) }
     }
@@ -43,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // jigsaw-lint: allow(R5) -- unsafe signature mandated by the GlobalAlloc trait
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         // jigsaw-lint: allow(R5) -- direct forward to the system allocator
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -52,11 +71,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Heap allocations performed while running `f`.
+/// Heap allocations this thread performed while running `f`.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(Some(0)));
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::take).unwrap_or(0)
 }
 
 /// One full scheduling cycle: grant every size (ignoring rejects), then
@@ -87,8 +106,6 @@ const SIZES: [u32; 10] = [1, 5, 64, 130, 7, 48, 300, 2, 96, 17];
 #[test]
 fn steady_state_allocate_is_allocation_free() {
     let tree = FatTree::maximal(16).unwrap();
-    // All tests share one process-wide counter, so everything runs inside
-    // this single test function.
     for scheme in [Scheme::Jigsaw, Scheme::Baseline, Scheme::Laas, Scheme::LcS] {
         let mut state = SystemState::new(tree);
         let mut alloc = scheme.make(&tree);

@@ -415,8 +415,12 @@ impl<'a> Simulation<'a> {
 enum HeadAttempt {
     /// The head started; pop it and keep going.
     Started,
-    /// No allocation exists in the current state.
-    NoFit,
+    /// No allocation exists in the current state. `fits_empty` is the
+    /// reject's own hint: would the job fit an empty machine at all?
+    NoFit {
+        /// `false` means no amount of waiting lets the job start.
+        fits_empty: bool,
+    },
     /// An allocation exists but would overlap a pending advance
     /// reservation — the head waits (and may not be dropped).
     Gated,
@@ -481,8 +485,6 @@ struct Sim<'a> {
     unschedulable: u32,
     migrations: u64,
     migration_cost: f64,
-    /// Cache of "can this size fit an empty machine at all?".
-    fits_empty: HashMap<u32, bool>,
 }
 
 impl<'a> Sim<'a> {
@@ -596,7 +598,6 @@ impl<'a> Sim<'a> {
             unschedulable: 0,
             migrations: 0,
             migration_cost: 0.0,
-            fits_empty: HashMap::new(),
             config,
         }
     }
@@ -883,12 +884,13 @@ impl<'a> Sim<'a> {
                     self.queue.pop_front();
                     continue;
                 }
-                HeadAttempt::NoFit => {
+                HeadAttempt::NoFit { fits_empty } => {
                     // Jobs that cannot fit even an empty machine are
                     // dropped (a real scheduler would reject the
                     // submission) — along with every DAG descendant, which
-                    // can never become eligible.
-                    if !self.fits_on_empty(head) {
+                    // can never become eligible. The reject's hint answers
+                    // for this job's own `(size, bw)`.
+                    if !fits_empty {
                         self.drop_job(head);
                         self.queue.pop_front();
                         continue;
@@ -934,7 +936,9 @@ impl<'a> Sim<'a> {
                         return self.try_defrag_start(idx, &req, reject, t, cfg);
                     }
                 }
-                HeadAttempt::NoFit
+                HeadAttempt::NoFit {
+                    fits_empty: reject.would_fit_empty,
+                }
             }
         }
     }
@@ -964,7 +968,9 @@ impl<'a> Sim<'a> {
         self.sched_wall += t0.elapsed().as_secs_f64();
         self.sched_calls += 1;
         let Some(plan) = plan else {
-            return HeadAttempt::NoFit;
+            return HeadAttempt::NoFit {
+                fits_empty: blocking.would_fit_empty,
+            };
         };
         // Reservation gating, checked before the machine is disturbed: the
         // admitted placement must not delay a reserved start, and no move
@@ -995,13 +1001,15 @@ impl<'a> Sim<'a> {
     /// placement, adopt the new one, slip the migrated job's completion by
     /// the configured per-node cost, and re-audit the whole system after
     /// each move (a plan that breaks interference-freedom mid-flight is a
-    /// planner bug, not a recoverable condition).
+    /// planner bug, not a recoverable condition). The audited allocation
+    /// set is built once and follows each move in place.
     fn apply_migration_plan(&mut self, plan: &MigrationPlan, t: f64) {
         let by_id: HashMap<u32, u32> = self
             .running
             .iter()
             .map(|(&i, r)| (r.alloc.job.0, i))
             .collect();
+        let mut claimed: Vec<Allocation> = self.running.values().map(|r| r.alloc.clone()).collect();
         let cost = self.config.migration_cost_per_node;
         for m in &plan.moves {
             let idx = *by_id
@@ -1043,7 +1051,9 @@ impl<'a> Sim<'a> {
             self.migration_cost += penalty;
             // Post-move audit: state and allocation set must stay
             // mutually consistent and interference-free after every step.
-            let claimed: Vec<Allocation> = self.running.values().map(|r| r.alloc.clone()).collect();
+            if let Some(slot) = claimed.iter_mut().find(|a| a.job == m.job) {
+                *slot = m.to.clone();
+            }
             let issues = audit_system(&self.state, &claimed);
             assert!(
                 issues.is_empty(),
@@ -1051,20 +1061,6 @@ impl<'a> Sim<'a> {
                 m.job.0
             );
         }
-    }
-
-    fn fits_on_empty(&mut self, idx: u32) -> bool {
-        let j = &self.trace.jobs[idx as usize];
-        let (id, size, bw) = (j.id, j.size, j.bw_tenths);
-        if let Some(&cached) = self.fits_empty.get(&size) {
-            return cached;
-        }
-        let req = JobRequest::with_bandwidth(JobId(id), size, bw);
-        let mut scratch_state = SystemState::new(*self.tree);
-        let mut scratch_alloc = self.allocator.fresh_box();
-        let fits = scratch_alloc.try_admit(&mut scratch_state, &req).is_ok();
-        self.fits_empty.insert(size, fits);
-        fits
     }
 
     /// Drop `root` as unschedulable, cascading to every DAG descendant:
@@ -2040,6 +2036,69 @@ mod tests {
             let r = run(kind, &trace, &SimConfig::default());
             let done = r.jobs.iter().filter(|j| j.scheduled()).count();
             assert_eq!(done as u32 + r.unschedulable, 40, "{kind}");
+        }
+    }
+
+    // ---- unschedulable detection: the head reject's own fit hint ----
+
+    /// LC+S shares links fractionally up to a 4 GB/s cap (40 tenths), so
+    /// whether a job can ever run depends on its bandwidth, not only its
+    /// size. Two 8-node jobs straddle the cap behind a full-machine job:
+    /// the 5 GB/s one can never run and must be dropped, the 2 GB/s one
+    /// only waits for the machine to drain — in either arrival order.
+    #[test]
+    fn lcs_unschedulable_check_is_keyed_by_bandwidth() {
+        for (first_bw, second_bw) in [(50u16, 20u16), (20, 50)] {
+            let trace = Trace::new(
+                "t",
+                16,
+                vec![
+                    JobSpec::rigid(0, 0.0, 16, 100.0, 10),
+                    JobSpec::rigid(1, 0.0, 8, 10.0, first_bw),
+                    JobSpec::rigid(2, 0.0, 8, 10.0, second_bw),
+                ],
+            );
+            let r = run(Scheme::LcS, &trace, &SimConfig::default());
+            let (impossible, feasible) = if first_bw > 40 { (1, 2) } else { (2, 1) };
+            assert_eq!(r.unschedulable, 1, "bw {first_bw} then {second_bw}");
+            assert!(
+                !r.jobs[impossible].scheduled(),
+                "job {impossible} is dropped"
+            );
+            assert_eq!(
+                r.jobs[feasible].start, 100.0,
+                "job {feasible} waits for the machine, bw {first_bw} then {second_bw}"
+            );
+        }
+    }
+
+    /// The drop decision reads `Reject::would_fit_empty`; for every scheme
+    /// that hint must equal a pristine probe on an empty machine, for
+    /// every `(size, bw)` class, including ones past the machine size and
+    /// past LC+S's link cap.
+    #[test]
+    fn reject_hint_equals_a_pristine_probe() {
+        let tree = FatTree::maximal(4).unwrap();
+        for kind in Scheme::ALL {
+            let mut state = SystemState::new(tree);
+            let mut alloc = kind.make(&tree);
+            let _full = alloc.try_admit(&mut state, &JobRequest::new(JobId(0), 16));
+            for size in 1..=17u32 {
+                for bw in [5u16, 20, 40, 50] {
+                    let req = JobRequest::with_bandwidth(JobId(size), size, bw);
+                    let Err(reject) = alloc.try_admit(&mut state, &req) else {
+                        panic!("{kind}: the machine is full, size {size} must reject");
+                    };
+                    let pristine = kind
+                        .make(&tree)
+                        .try_admit(&mut SystemState::new(tree), &req)
+                        .is_ok();
+                    assert_eq!(
+                        reject.would_fit_empty, pristine,
+                        "{kind}: size {size} bw {bw}"
+                    );
+                }
+            }
         }
     }
 
