@@ -1,7 +1,8 @@
 //! The defragmentation-recovery trajectory: how much of the utilization
-//! lost to fragmentation the [`Decision::Reconfigure`] outcome wins back,
-//! committed as `BENCH_defrag.json` so every PR's recovery rate is
-//! visible in the bench record.
+//! lost to fragmentation the
+//! [`Decision::Reconfigure`](jigsaw_core::Decision::Reconfigure) outcome
+//! wins back, committed as `BENCH_defrag.json` so every PR's recovery
+//! rate is visible in the bench record.
 //!
 //! Each arm prepares the shared `fragmented90` scenario (a machine
 //! churned to ~90% occupancy — `jigsaw_bench::scenarios`), then streams
@@ -11,13 +12,14 @@
 //! many leaves, the canonical fragmentation regime. A probe Algorithm 1
 //! rejects *for fragmentation* goes to the planner
 //! ([`jigsaw_core::defrag::plan_migrations`]), and a found plan is
-//! applied through [`Allocator::apply_plan`] — per-move audits included —
-//! with the admitted job left resident. The headline number per arm is
-//! `recovered_pct`: the share of fragmentation-rejected probes a bounded
-//! migration plan admitted. Three arms run on identical starting states
-//! and probe streams: `none` (no planner — the Algorithm-1 baseline,
-//! whose mean utilization anchors "utilization recovered"), `greedy`,
-//! and `anneal`.
+//! applied through
+//! [`Allocator::apply_plan`](jigsaw_core::Allocator::apply_plan) —
+//! per-move audits included — with the admitted job left resident. The
+//! headline number per arm is `recovered_pct`: the share of
+//! fragmentation-rejected probes a bounded migration plan admitted.
+//! Three arms run on identical starting states and probe streams: `none`
+//! (no planner — the Algorithm-1 baseline, whose mean utilization
+//! anchors "utilization recovered"), `greedy`, and `anneal`.
 //!
 //! ```text
 //! cargo run --release -p jigsaw-bench --bin defrag_recovery

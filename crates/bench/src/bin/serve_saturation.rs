@@ -137,11 +137,12 @@ fn mode_json(mode: &str, max_batch: usize, r: &LoadgenReport) -> String {
     format!(
         "    {{\n      \"mode\": \"{mode}\",\n      \"max_batch\": {max_batch},\n      \
          \"requests\": {},\n      \"ok\": {},\n      \"err\": {},\n      \
-         \"rps\": {:.1},\n      \"p50_ns\": {},\n      \"p99_ns\": {},\n      \
-         \"mean_ns\": {}\n    }}",
+         \"err_by_code\": {},\n      \"rps\": {:.1},\n      \"p50_ns\": {},\n      \
+         \"p99_ns\": {},\n      \"mean_ns\": {}\n    }}",
         r.requests,
         r.ok,
         r.err,
+        r.err_by_code_json(),
         r.rps(),
         r.p50_ns,
         r.p99_ns,

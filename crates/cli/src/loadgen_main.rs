@@ -84,11 +84,13 @@ fn run(argv: &[String]) -> i32 {
             if flags.has("--json") {
                 println!(
                     "{{\"connections\":{},\"requests\":{},\"ok\":{},\"err\":{},\
-                     \"elapsed_ns\":{},\"rps\":{:.1},\"p50_ns\":{},\"p99_ns\":{},\"mean_ns\":{}}}",
+                     \"err_by_code\":{},\"elapsed_ns\":{},\"rps\":{:.1},\"p50_ns\":{},\
+                     \"p99_ns\":{},\"mean_ns\":{}}}",
                     report.connections,
                     report.requests,
                     report.ok,
                     report.err,
+                    report.err_by_code_json(),
                     report.elapsed_ns,
                     report.rps(),
                     report.p50_ns,

@@ -1,5 +1,5 @@
 //! Migration planning: turning fragmentation rejects into
-//! [`Decision::Reconfigure`](crate::Decision::Reconfigure) proposals.
+//! [`Decision::Reconfigure`] proposals.
 //!
 //! The paper's Algorithm 1 admits or rejects — which is exactly why
 //! fragmented fat-tree states strand capacity a bounded set of migrations
@@ -71,7 +71,7 @@ impl Migration {
 /// A bounded, audited list of migrations that makes a blocked request fit.
 ///
 /// Produced by [`plan_migrations`]; carried by
-/// [`Decision::Reconfigure`](crate::Decision::Reconfigure). Applying the
+/// [`Decision::Reconfigure`]. Applying the
 /// moves in order (see [`Allocator::apply_plan`]) and then adopting
 /// [`MigrationPlan::admits`] yields a state in which the triggering job
 /// runs on the proven placement — no re-search is needed (or allowed: the

@@ -6,7 +6,7 @@
 //! * `jigsaw_alloc_attempts_total` / `jigsaw_alloc_grants_total` /
 //!   `jigsaw_alloc_releases_total` — allocation outcome counters;
 //! * `jigsaw_alloc_rejects_total{reason=…}` — one counter per typed
-//!   [`Reject`] kind;
+//!   [`Reject`](crate::Reject) kind;
 //! * `jigsaw_alloc_reconfigures_total` — decisions that produced a
 //!   [`MigrationPlan`](crate::defrag::MigrationPlan) instead of a grant
 //!   or a reject;
@@ -48,7 +48,7 @@ pub struct AllocatorObs {
 
 impl AllocatorObs {
     /// Register the allocator metric family for `scheme` in `registry`.
-    /// Every [`Reject`] kind's counter is registered eagerly so the
+    /// Every [`Reject`](crate::Reject) kind's counter is registered eagerly so the
     /// exposition shows zeroes rather than omitting untripped reasons.
     pub fn new(registry: &Registry, scheme: &'static str) -> AllocatorObs {
         let labels = [("scheme", scheme)];

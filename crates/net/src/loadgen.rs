@@ -24,6 +24,7 @@
 //! saturation, `FREE` of a denied alloc), not an artifact of the
 //! generator.
 
+use crate::protocol::ErrCode;
 use jigsaw_obs::{Histogram, Registry};
 use jigsaw_par::Pool;
 use rand::rngs::StdRng;
@@ -93,6 +94,10 @@ pub struct LoadgenReport {
     pub ok: u64,
     /// `ERR` replies (allocator denials under saturation are expected).
     pub err: u64,
+    /// `ERR` replies by code, in [`ErrCode::ALL`] order; codes that never
+    /// occurred are left out. A reply whose code is not in the protocol
+    /// counts in `err` only.
+    pub err_by_code: Vec<(ErrCode, u64)>,
     /// Wall-clock duration of the whole run, nanoseconds.
     pub elapsed_ns: u64,
     /// Median request latency (histogram bucket upper bound), ns.
@@ -114,17 +119,32 @@ impl LoadgenReport {
             self.requests as f64 / (self.elapsed_ns as f64 / 1e9)
         }
     }
+
+    /// `err_by_code` as a JSON object, e.g. `{"denied": 3, "unknown-job": 1}`.
+    pub fn err_by_code_json(&self) -> String {
+        let fields: Vec<String> = self
+            .err_by_code
+            .iter()
+            .map(|(code, n)| format!("\"{code}\": {n}"))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
 }
 
 impl std::fmt::Display for LoadgenReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} conns, {} requests ({} ok, {} err) in {:.3}s: {:.0} req/s, p50 {}us, p99 {}us",
+            "{} conns, {} requests ({} ok, {} err{}) in {:.3}s: {:.0} req/s, p50 {}us, p99 {}us",
             self.connections,
             self.requests,
             self.ok,
             self.err,
+            self.err_by_code
+                .iter()
+                .enumerate()
+                .map(|(i, (code, n))| format!("{}{code} {n}", if i == 0 { ": " } else { ", " }))
+                .collect::<String>(),
             f64::from(u32::try_from(self.elapsed_ns / 1_000_000).unwrap_or(u32::MAX)) / 1e3,
             self.rps(),
             self.p50_ns / 1000,
@@ -138,6 +158,8 @@ struct ConnTally {
     sent: u64,
     ok: u64,
     err: u64,
+    /// Indexed like [`ErrCode::ALL`].
+    err_by_code: [u64; ErrCode::ALL.len()],
 }
 
 /// Drive the configured load against a running daemon. Latencies land in
@@ -159,6 +181,7 @@ pub fn run(config: &LoadgenConfig, registry: &Registry) -> std::io::Result<Loadg
     let mut requests = 0u64;
     let mut ok = 0u64;
     let mut err = 0u64;
+    let mut err_by_code = [0u64; ErrCode::ALL.len()];
     for outcome in outcomes {
         let tally = match outcome {
             Ok(Ok(tally)) => tally,
@@ -168,6 +191,9 @@ pub fn run(config: &LoadgenConfig, registry: &Registry) -> std::io::Result<Loadg
         requests += tally.sent;
         ok += tally.ok;
         err += tally.err;
+        for (total, n) in err_by_code.iter_mut().zip(tally.err_by_code) {
+            *total += n;
+        }
     }
 
     if config.shutdown {
@@ -180,6 +206,11 @@ pub fn run(config: &LoadgenConfig, registry: &Registry) -> std::io::Result<Loadg
         requests,
         ok,
         err,
+        err_by_code: ErrCode::ALL
+            .into_iter()
+            .zip(err_by_code)
+            .filter(|&(_, n)| n > 0)
+            .collect(),
         elapsed_ns,
         p50_ns: latency.quantile(0.5),
         p99_ns: latency.quantile(0.99),
@@ -242,6 +273,7 @@ fn run_conn(
         sent: 0,
         ok: 0,
         err: 0,
+        err_by_code: [0; ErrCode::ALL.len()],
     };
     let mut submitted = 0usize;
     let mut received = 0usize;
@@ -255,13 +287,14 @@ fn run_conn(
                     std::thread::sleep(due - now);
                 }
             }
-            let line = next_request(&mut rng, &mut live, &mut next_job, config);
+            let mut line = next_request(&mut rng, &mut live, &mut next_job, config);
             let alloc_id = line
                 .strip_prefix("ALLOC ")
                 .and_then(|rest| rest.split_whitespace().next())
                 .and_then(|id| id.parse::<u32>().ok());
+            // The request and its newline leave in one write.
+            line.push('\n');
             stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
             pending.push_back((Instant::now(), alloc_id));
             submitted += 1;
             tally.sent += 1;
@@ -287,6 +320,13 @@ fn run_conn(
             tally.ok += 1;
         } else {
             tally.err += 1;
+            let code = reply
+                .strip_prefix("ERR ")
+                .and_then(|rest| rest.split_whitespace().next())
+                .and_then(|token| ErrCode::ALL.iter().position(|c| c.as_str() == token));
+            if let Some(i) = code {
+                tally.err_by_code[i] += 1;
+            }
             // A denied ALLOC never became a job: drop the optimistic id
             // so later FREEs keep targeting genuinely live jobs and the
             // mix stays churn (durable traffic) under saturation.
@@ -332,6 +372,53 @@ fn next_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, Server, ServerConfig};
+    use jigsaw_core::{ObservedAllocator, Scheme};
+    use jigsaw_persist::PersistentState;
+    use jigsaw_topology::FatTree;
+
+    #[test]
+    fn errors_are_tallied_by_code() {
+        // 16 nodes and jobs of up to 16: two connections churning against
+        // each other draw allocator denials.
+        let tree = FatTree::maximal(4).unwrap();
+        let registry = Registry::new();
+        let persist = PersistentState::ephemeral(tree);
+        let allocator = Box::new(ObservedAllocator::new(
+            Scheme::Jigsaw.make(&tree),
+            &registry,
+        ));
+        let engine = Engine::new(tree, allocator, persist, &registry);
+        let server = Server::start(engine, &ServerConfig::default()).unwrap();
+        let config = LoadgenConfig {
+            addr: server.addr().to_string(),
+            connections: 2,
+            requests_per_conn: 200,
+            pipeline: 4,
+            max_job_size: 16,
+            shutdown: true,
+            ..LoadgenConfig::default()
+        };
+        let report = run(&config, &Registry::new()).unwrap();
+        assert_eq!(server.wait(), 0);
+        assert_eq!(report.ok + report.err, report.requests);
+        let by_code: u64 = report.err_by_code.iter().map(|&(_, n)| n).sum();
+        assert_eq!(by_code, report.err, "every ERR carries a protocol code");
+        assert!(
+            report
+                .err_by_code
+                .iter()
+                .any(|&(code, n)| code == ErrCode::Denied && n > 0),
+            "{report}"
+        );
+        assert!(report.err_by_code.iter().all(|&(_, n)| n > 0));
+        let shown = report.to_string();
+        let json = report.err_by_code_json();
+        for (code, n) in &report.err_by_code {
+            assert!(shown.contains(&format!("{code} {n}")), "{shown}");
+            assert!(json.contains(&format!("\"{code}\": {n}")), "{json}");
+        }
+    }
 
     #[test]
     fn request_mix_is_reproducible_and_well_formed() {

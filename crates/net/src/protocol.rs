@@ -51,6 +51,19 @@ pub enum ErrCode {
 }
 
 impl ErrCode {
+    /// Every code, in declaration order.
+    pub const ALL: [ErrCode; 9] = [
+        ErrCode::Denied,
+        ErrCode::BadRequest,
+        ErrCode::Exists,
+        ErrCode::UnknownJob,
+        ErrCode::Journal,
+        ErrCode::NotDurable,
+        ErrCode::UnknownVerb,
+        ErrCode::Busy,
+        ErrCode::Internal,
+    ];
+
     /// The stable wire token for this code.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -495,19 +508,13 @@ mod tests {
         assert_eq!(r.to_string(), "ERR unknown-job job 9 is not allocated");
         assert!(r.is_err());
         // Codes are single lowercase tokens — parseable as field 2.
-        for code in [
-            ErrCode::Denied,
-            ErrCode::BadRequest,
-            ErrCode::Exists,
-            ErrCode::UnknownJob,
-            ErrCode::Journal,
-            ErrCode::NotDurable,
-            ErrCode::UnknownVerb,
-            ErrCode::Busy,
-            ErrCode::Internal,
-        ] {
+        for (i, code) in ErrCode::ALL.into_iter().enumerate() {
             assert!(!code.as_str().contains(char::is_whitespace));
             assert_eq!(code.as_str(), code.as_str().to_ascii_lowercase());
+            let first = ErrCode::ALL
+                .iter()
+                .position(|c| c.as_str() == code.as_str());
+            assert_eq!(first, Some(i), "tokens are distinct");
         }
     }
 

@@ -12,10 +12,14 @@
 //!        ▼                           ▼
 //!                          command-loop thread (single writer)
 //!                            │  batch up to max_batch events
-//!                            │  Engine::handle_line per request
+//!                            │  Engine::handle_line per request,
+//!                            │    reply encoded into its connection's
+//!                            │    buffer (lines of closing connections
+//!                            │    are dropped unapplied)
 //!                            │  Engine::flush — ONE fsync per batch
 //!                            ▼
-//!                          replies released, in arrival order
+//!                          ONE write per connection with held replies,
+//!                          each connection's replies in arrival order
 //! ```
 //!
 //! Concurrency lives entirely at the edges (acceptor, readers); every
@@ -34,6 +38,18 @@
 //! behavior degenerates to per-record fsync; under many concurrent
 //! clients the requests that arrive during one fsync form the next batch,
 //! which is exactly the amortization the saturation benchmark measures.
+//!
+//! Each reply is encoded into its connection's reusable output buffer as
+//! it is handled; after the flush every connection with held replies gets
+//! exactly **one** `write_all` carrying all of them, in arrival order.
+//! Sockets are `TCP_NODELAY`, so a write per reply would cost a segment
+//! and a client wake-up per reply.
+//!
+//! A reply that closes its connection (`QUIT`, a framing violation) is
+//! the last one that connection gets: its later requests, in this batch
+//! or a later one, are dropped without being applied, as are requests of
+//! a connection already removed after a failed write. A request nobody
+//! will be told about must not change the machine.
 //!
 //! A flush failure is fail-stop: every reply covered by the failed flush
 //! is replaced with `ERR journal`, the daemon closes every connection and
@@ -272,12 +288,12 @@ fn accept_loop(
         let _ = stream.set_nodelay(true);
         if open_count.load(Ordering::Acquire) >= max_conns {
             busy.inc();
-            let mut stream = stream;
-            let _ = writeln!(
-                stream,
-                "{}",
+            // Formatted first, so the line leaves in one write.
+            let line = format!(
+                "{}\n",
                 Reply::err(ErrCode::Busy, "connection limit reached, retry later")
             );
+            let _ = (&stream).write_all(line.as_bytes());
             continue;
         }
         if let Some(d) = idle {
@@ -340,13 +356,47 @@ fn reader_loop(id: u64, mut stream: TcpStream, tx: &SyncSender<ConnEvent>) {
     let _ = tx.send(ConnEvent::Closed(id));
 }
 
-/// A reply owed to a connection, held until the covering flush succeeds.
-struct PendingReply {
-    conn: u64,
-    text: String,
-    control: Control,
-    /// `true` for `Broken` replies: close unconditionally after sending.
-    close_after: bool,
+/// A connection's write half, plus the replies held for it until the
+/// covering flush succeeds.
+struct Conn {
+    stream: TcpStream,
+    /// This batch's replies, encoded back to back and released by one
+    /// `write_all`. Grows on demand and keeps its capacity (up to
+    /// [`RETAINED_OUT_BYTES`]) from batch to batch.
+    out: Vec<u8>,
+    /// Replies encoded in `out`.
+    held: usize,
+    /// A closing reply (`QUIT`, a framing violation, a refusal during
+    /// shutdown) is held: no later request of this connection is applied
+    /// or answered, and the socket is shut down once `out` is written.
+    closing: bool,
+}
+
+/// Output-buffer capacity a connection keeps between batches; a larger
+/// buffer (a `METRICS` exposition, a deep pipeline) is shrunk back to it.
+const RETAINED_OUT_BYTES: usize = 16 * 1024;
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            out: Vec::new(),
+            held: 0,
+            closing: false,
+        }
+    }
+
+    /// Encode `reply` behind the ones already held; `pending` lists the
+    /// connections with held replies in order of their first reply.
+    fn hold(&mut self, id: u64, reply: &Reply, closing: bool, pending: &mut Vec<u64>) {
+        if self.held == 0 {
+            pending.push(id);
+        }
+        // Writing into a `Vec` cannot fail.
+        let _ = writeln!(self.out, "{reply}");
+        self.held += 1;
+        self.closing |= closing;
+    }
 }
 
 /// The single-writer dispatch loop. Owns the [`Engine`] and every
@@ -360,7 +410,15 @@ fn command_loop(
     max_batch: usize,
     obs: &NetObs,
 ) -> i32 {
-    let mut conns: HashMap<u64, TcpStream> = HashMap::new();
+    let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut batch: Vec<ConnEvent> = Vec::new();
+    // Connections with replies held this batch, in order of first reply.
+    let mut pending: Vec<u64> = Vec::new();
+    // Closed events are applied only *after* this batch's replies go out:
+    // a reader that hit EOF right after relaying a request (or a framing
+    // violation) must not tear the socket down before the reply owed on
+    // it is written.
+    let mut closed: Vec<u64> = Vec::new();
     let mut shutting_down = false;
     loop {
         // One blocking receive, then drain opportunistically up to the
@@ -369,7 +427,7 @@ fn command_loop(
         let Ok(first) = rx.recv() else {
             break; // every sender gone: acceptor stopped, readers drained
         };
-        let mut batch = vec![first];
+        batch.push(first);
         while batch.len() < max_batch {
             match rx.try_recv() {
                 Ok(event) => batch.push(event),
@@ -377,45 +435,36 @@ fn command_loop(
             }
         }
 
-        let mut replies: Vec<PendingReply> = Vec::new();
-        // Closed events are applied only *after* this batch's replies go
-        // out: a reader that hit EOF right after relaying a request (or a
-        // framing violation) must not tear the socket down before the
-        // reply owed on it is written.
-        let mut closed: Vec<u64> = Vec::new();
         let mut requests: u64 = 0;
-        for event in batch {
+        let mut begin_shutdown = false;
+        for event in batch.drain(..) {
             match event {
                 ConnEvent::Open(id, stream) => {
-                    conns.insert(id, stream);
+                    let conn = conns.entry(id).or_insert(Conn::new(stream));
                     if shutting_down {
                         // Raced past the stop flag: admit no new work.
-                        replies.push(PendingReply {
-                            conn: id,
-                            text: Reply::ShuttingDown.to_string(),
-                            control: Control::Continue,
-                            close_after: true,
-                        });
+                        conn.hold(id, &Reply::ShuttingDown, true, &mut pending);
                     }
                 }
                 ConnEvent::Closed(id) => closed.push(id),
                 ConnEvent::Broken(id, why) => {
-                    replies.push(PendingReply {
-                        conn: id,
-                        text: Reply::err(ErrCode::BadRequest, why).to_string(),
-                        control: Control::Continue,
-                        close_after: true,
-                    });
+                    if let Some(conn) = conns.get_mut(&id).filter(|c| !c.closing) {
+                        let reply = Reply::err(ErrCode::BadRequest, why);
+                        conn.hold(id, &reply, true, &mut pending);
+                    }
                 }
                 ConnEvent::Line(id, line) => {
+                    // A connection that is closing, or already gone (closed
+                    // by an earlier reply or a failed write), gets no more
+                    // replies, so its later requests are never applied.
+                    let Some(conn) = conns.get_mut(&id).filter(|c| !c.closing) else {
+                        continue;
+                    };
                     if let Some(outcome) = engine.handle_line(&line) {
                         requests += 1;
-                        replies.push(PendingReply {
-                            conn: id,
-                            text: outcome.reply.to_string(),
-                            control: outcome.control,
-                            close_after: false,
-                        });
+                        begin_shutdown |= outcome.control == Control::Shutdown;
+                        let closing = outcome.control == Control::Close;
+                        conn.hold(id, &outcome.reply, closing, &mut pending);
                     }
                 }
             }
@@ -428,43 +477,44 @@ fn command_loop(
         // of this batch. Only after it succeeds may any reply go out.
         if let Err(e) = engine.flush() {
             eprintln!("jigsaw-sched: fatal: journal flush failed: {e}");
-            let err_text = Reply::err(ErrCode::Journal, e.to_string()).to_string();
-            for reply in &replies {
-                if let Some(stream) = conns.get_mut(&reply.conn) {
-                    let _ = writeln!(stream, "{err_text}");
+            let err = Reply::err(ErrCode::Journal, e.to_string());
+            for id in &pending {
+                if let Some(conn) = conns.get_mut(id) {
+                    conn.out.clear();
+                    for _ in 0..conn.held {
+                        let _ = writeln!(conn.out, "{err}");
+                    }
+                    let _ = conn.stream.write_all(&conn.out);
                 }
             }
-            for stream in conns.values() {
-                let _ = stream.shutdown(Shutdown::Both);
+            for conn in conns.values() {
+                let _ = conn.stream.shutdown(Shutdown::Both);
             }
             stop.store(true, Ordering::Release);
             return 1;
         }
 
-        let mut begin_shutdown = false;
-        for reply in replies {
-            let Some(stream) = conns.get_mut(&reply.conn) else {
-                continue; // client disconnected while its reply was held
+        // One write per connection carries all of its held replies.
+        for id in pending.drain(..) {
+            let Some(conn) = conns.get_mut(&id) else {
+                continue;
             };
-            let sent = stream
-                .write_all(reply.text.as_bytes())
-                .and_then(|()| stream.write_all(b"\n"))
-                .is_ok();
-            let close = reply.close_after || reply.control == Control::Close || !sent;
-            if reply.control == Control::Shutdown {
-                begin_shutdown = true;
-            }
-            if close {
+            let sent = conn.stream.write_all(&conn.out).is_ok();
+            if conn.closing || !sent {
                 // The reader notices the closed socket and sends `Closed`,
                 // which is where the open-connection count is released.
-                let _ = stream.shutdown(Shutdown::Both);
-                conns.remove(&reply.conn);
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                conns.remove(&id);
+            } else {
+                conn.out.clear();
+                conn.out.shrink_to(RETAINED_OUT_BYTES);
+                conn.held = 0;
             }
         }
 
-        for id in closed {
-            if let Some(stream) = conns.remove(&id) {
-                let _ = stream.shutdown(Shutdown::Both);
+        for id in closed.drain(..) {
+            if let Some(conn) = conns.remove(&id) {
+                let _ = conn.stream.shutdown(Shutdown::Both);
             }
             let n = open_count.fetch_sub(1, Ordering::AcqRel).saturating_sub(1);
             obs.open.set(i64::try_from(n).unwrap_or(i64::MAX));
@@ -477,8 +527,8 @@ fn command_loop(
             // drop their channel senders. Already-queued requests still
             // drain through the loop; once the last sender is gone,
             // `recv` disconnects and the loop exits.
-            for stream in conns.values() {
-                let _ = stream.shutdown(Shutdown::Read);
+            for conn in conns.values() {
+                let _ = conn.stream.shutdown(Shutdown::Read);
             }
         }
     }
@@ -491,8 +541,8 @@ fn command_loop(
         eprintln!("jigsaw-sched: fatal: shutdown flush failed: {e}");
         code = 1;
     }
-    for stream in conns.values() {
-        let _ = stream.shutdown(Shutdown::Both);
+    for conn in conns.values() {
+        let _ = conn.stream.shutdown(Shutdown::Both);
     }
     code
 }
@@ -506,7 +556,7 @@ mod tests {
     use jigsaw_topology::FatTree;
     use std::io::{BufRead, BufReader};
 
-    fn start_ephemeral(config: &ServerConfig) -> ServerHandle {
+    fn ephemeral_engine() -> Engine {
         let tree = FatTree::maximal(4).unwrap();
         let registry = Registry::new();
         let mut persist = PersistentState::ephemeral(tree);
@@ -515,8 +565,44 @@ mod tests {
             Scheme::Jigsaw.make(&tree),
             &registry,
         ));
-        let engine = Engine::new(tree, allocator, persist, &registry);
-        Server::start(engine, config).expect("bind")
+        Engine::new(tree, allocator, persist, &registry)
+    }
+
+    fn start_ephemeral(config: &ServerConfig) -> ServerHandle {
+        Server::start(ephemeral_engine(), config).expect("bind")
+    }
+
+    /// A connected loopback pair: (the daemon's end, the client's end).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (daemon, _) = listener.accept().unwrap();
+        (daemon, client)
+    }
+
+    /// Run the command loop over `events`, all queued before it starts so
+    /// that they form exactly one batch, until the channel disconnects.
+    /// Returns the exit code and the requests-per-batch histogram.
+    fn run_one_batch(events: Vec<ConnEvent>) -> (i32, Histogram) {
+        let engine = ephemeral_engine();
+        let obs = NetObs::new(engine.registry());
+        let batches = obs.batch_requests.clone();
+        let n = events.len();
+        let (tx, rx) = std::sync::mpsc::sync_channel(n);
+        for event in events {
+            tx.send(event).unwrap();
+        }
+        drop(tx);
+        let open = Arc::new(AtomicUsize::new(0));
+        let code = command_loop(engine, &rx, &AtomicBool::new(false), &open, n, &obs);
+        (code, batches)
+    }
+
+    /// Everything the daemon wrote to `client` up to EOF, as lines.
+    fn read_all(mut client: TcpStream) -> Vec<String> {
+        let mut text = String::new();
+        client.read_to_string(&mut text).unwrap();
+        text.lines().map(str::to_string).collect()
     }
 
     fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
@@ -631,6 +717,97 @@ mod tests {
         assert_eq!(reader.read_line(&mut line).unwrap(), 0, "EOF expected");
         let (mut s, mut r) = connect(handle.addr());
         let _ = roundtrip(&mut s, &mut r, "SHUTDOWN");
+        assert_eq!(handle.wait(), 0);
+    }
+
+    #[test]
+    fn interleaved_connections_in_one_batch_get_their_own_replies() {
+        let (a, a_client) = socket_pair();
+        let (b, b_client) = socket_pair();
+        let line = |id: u64, text: &str| ConnEvent::Line(id, text.to_string());
+        let (code, batches) = run_one_batch(vec![
+            ConnEvent::Open(0, a),
+            ConnEvent::Open(1, b),
+            line(0, "ALLOC 1 2"),
+            line(1, "ALLOC 2 2"),
+            line(0, "STATUS"),
+            line(1, "FREE 2"),
+            line(1, "STATUS"),
+            line(0, "FREE 1"),
+        ]);
+        assert_eq!(code, 0);
+        assert_eq!(batches.count(), 1, "one batch");
+        assert_eq!(batches.sum(), 6, "six requests in it");
+        let a = read_all(a_client);
+        let b = read_all(b_client);
+        assert_eq!(a.len(), 3, "{a:?}");
+        assert!(a[0].starts_with("OK GRANT 1 "), "{a:?}");
+        assert_eq!(a[1], "OK STATUS nodes=4/16 jobs=2 util=25.0%");
+        assert_eq!(a[2], "OK FREE 1");
+        assert_eq!(b.len(), 3, "{b:?}");
+        assert!(b[0].starts_with("OK GRANT 2 "), "{b:?}");
+        assert_eq!(b[1], "OK FREE 2");
+        assert_eq!(b[2], "OK STATUS nodes=2/16 jobs=1 util=12.5%");
+    }
+
+    #[test]
+    fn requests_behind_quit_in_the_same_batch_are_dropped() {
+        let (a, a_client) = socket_pair();
+        let (b, b_client) = socket_pair();
+        let line = |id: u64, text: &str| ConnEvent::Line(id, text.to_string());
+        let (code, _) = run_one_batch(vec![
+            ConnEvent::Open(0, a),
+            ConnEvent::Open(1, b),
+            line(0, "QUIT"),
+            line(0, "ALLOC 7 4"),
+            ConnEvent::Broken(0, "request is not valid UTF-8".to_string()),
+            line(1, "STATUS"),
+        ]);
+        assert_eq!(code, 0);
+        assert_eq!(read_all(a_client), ["OK BYE"]);
+        assert_eq!(
+            read_all(b_client),
+            ["OK STATUS nodes=0/16 jobs=0 util=0.0%"]
+        );
+    }
+
+    #[test]
+    fn requests_pipelined_after_quit_are_not_applied() {
+        let handle = start_ephemeral(&ServerConfig::default());
+        let (mut stream, mut reader) = connect(handle.addr());
+        stream.write_all(b"QUIT\nALLOC 7 4\nALLOC 8 4\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "OK BYE\n");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "EOF expected");
+        let (mut s2, mut r2) = connect(handle.addr());
+        assert_eq!(
+            roundtrip(&mut s2, &mut r2, "STATUS"),
+            "OK STATUS nodes=0/16 jobs=0 util=0.0%"
+        );
+        let _ = roundtrip(&mut s2, &mut r2, "SHUTDOWN");
+        assert_eq!(handle.wait(), 0);
+    }
+
+    #[test]
+    fn valid_lines_before_a_non_utf8_byte_are_answered_then_closed() {
+        let handle = start_ephemeral(&ServerConfig::default());
+        let (mut stream, mut reader) = connect(handle.addr());
+        stream.write_all(b"ALLOC 1 2\nSTATUS\n\xff\n").unwrap();
+        let mut replies = Vec::new();
+        for _ in 0..3 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            replies.push(line.trim_end().to_string());
+        }
+        assert!(replies[0].starts_with("OK GRANT 1 "), "{replies:?}");
+        assert_eq!(replies[1], "OK STATUS nodes=2/16 jobs=1 util=12.5%");
+        assert!(replies[2].starts_with("ERR bad-request"), "{replies:?}");
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "EOF expected");
+        let (mut s2, mut r2) = connect(handle.addr());
+        let _ = roundtrip(&mut s2, &mut r2, "SHUTDOWN");
         assert_eq!(handle.wait(), 0);
     }
 
