@@ -12,8 +12,7 @@
 //! many leaves, the canonical fragmentation regime. A probe Algorithm 1
 //! rejects *for fragmentation* goes to the planner
 //! ([`jigsaw_core::defrag::plan_migrations`]), and a found plan is
-//! applied through
-//! [`Allocator::apply_plan`](jigsaw_core::Allocator::apply_plan) —
+//! applied through [`jigsaw_core::defrag::apply_plan`] —
 //! per-move audits included — with the admitted job left resident. The
 //! headline number per arm is `recovered_pct`: the share of
 //! fragmentation-rejected probes a bounded migration plan admitted.
@@ -37,7 +36,7 @@
 //!   (default 15.0 points) below the committed one.
 
 use jigsaw_bench::scenarios::scenario;
-use jigsaw_core::defrag::{plan_migrations, DefragConfig, PlanScheme};
+use jigsaw_core::defrag::{apply_plan, plan_migrations, DefragConfig, PlanScheme};
 use jigsaw_core::{JobRequest, Scheme};
 use jigsaw_topology::ids::JobId;
 use jigsaw_topology::FatTree;
@@ -236,16 +235,18 @@ fn measure(
                 arm.frag_rejects += 1;
                 if let Some(cfg) = &cfg {
                     let t0 = Instant::now();
-                    let plan = plan_migrations(alloc.as_ref(), &state, &live, &req, reject, cfg);
+                    let plan =
+                        plan_migrations(alloc.as_ref(), &state, &live, &[], &req, reject, cfg);
                     plan_lat.push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
                     if let Some(plan) = plan {
                         arm.moves += plan.moves.len();
                         arm.nodes_moved += u64::from(plan.nodes_moved());
                         // Apply with per-move audits; the admitted job
                         // stays resident — that occupancy IS the recovery.
-                        let admitted = alloc.apply_plan(&mut state, &mut live, &plan).expect(
-                            "an audited plan applies cleanly to the state it was planned on",
-                        );
+                        let admitted = apply_plan(alloc.as_mut(), &mut state, &mut live, &plan)
+                            .expect(
+                                "an audited plan applies cleanly to the state it was planned on",
+                            );
                         debug_assert_eq!(admitted.job, req.id);
                         arm.recovered += 1;
                     }

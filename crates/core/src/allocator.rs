@@ -11,8 +11,7 @@
 //! — parse once at the boundary, pass `Scheme` everywhere after.
 
 use crate::alloc::{release_allocation, Allocation};
-use crate::audit::audit_system;
-use crate::defrag::{MigrationPlan, PlanApplyError};
+use crate::defrag::MigrationPlan;
 use crate::job::JobRequest;
 use crate::reject::Reject;
 use jigsaw_topology::{FatTree, FatTreeParams, SystemState};
@@ -26,8 +25,10 @@ use serde::{Deserialize, Serialize};
 /// — a bounded [`MigrationPlan`] can describe how to compact resident jobs
 /// so the request fits. The plan is a proposal: nothing has been claimed
 /// in the state yet, and the caller chooses whether to pay the migration
-/// cost ([`Allocator::apply_plan`]) or treat the outcome as a rejection
-/// ([`Decision::into_result`]).
+/// cost ([`crate::defrag::apply_plan`]) or treat the outcome as a
+/// rejection ([`Decision::into_result`]). No in-tree scheme returns
+/// `Reconfigure` itself: the simulator and the daemon call
+/// [`crate::defrag::plan_migrations`] on fragmentation rejects.
 #[must_use = "an Admit has already claimed resources and a Reconfigure awaits apply_plan; dropping the decision leaks or discards them"]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Decision {
@@ -86,9 +87,9 @@ pub trait Allocator: Send {
     /// Decide the fate of `req`: search for a placement and, on
     /// [`Decision::Admit`], claim it in `state`. A failed search returns
     /// [`Decision::Reject`] with the typed reason and the
-    /// would-it-fit-empty hint; allocators that plan migrations (the
-    /// [`crate::Defragmenter`] wrapper) may instead return
-    /// [`Decision::Reconfigure`] with a bounded, audited plan.
+    /// would-it-fit-empty hint; an allocator that plans migrations may
+    /// instead return [`Decision::Reconfigure`] with a bounded, audited
+    /// plan.
     ///
     /// On `Admit` the resources are already claimed in `state` — dropping
     /// the returned [`Allocation`] leaks them, hence `#[must_use]`.
@@ -106,48 +107,6 @@ pub trait Allocator: Send {
         req: &JobRequest,
     ) -> Result<Allocation, Reject> {
         self.decide(state, req).into_result()
-    }
-
-    /// Apply a [`MigrationPlan`] to `state`, one move at a time, keeping
-    /// `live` (the caller's list of resident allocations, which must
-    /// contain every move's `from` placement) in step, and **re-auditing
-    /// the full system after every move**. On success the plan's admitted
-    /// placement has been adopted too (and pushed onto `live`) and is
-    /// returned — the caller must *not* re-decide the triggering request.
-    ///
-    /// The default implementation routes every mutation through
-    /// [`Allocator::release`] / [`Allocator::adopt`], so wrappers with
-    /// internal bookkeeping (TA's classes, the defragmenter's live list)
-    /// stay consistent without overriding this.
-    #[must_use = "an unapplied or failed plan leaves the admitted placement unclaimed"]
-    fn apply_plan(
-        &mut self,
-        state: &mut SystemState,
-        live: &mut Vec<Allocation>,
-        plan: &MigrationPlan,
-    ) -> Result<Allocation, PlanApplyError> {
-        for m in &plan.moves {
-            let Some(idx) = live.iter().position(|a| *a == m.from) else {
-                return Err(PlanApplyError::StaleMove { job: m.job });
-            };
-            self.release(state, &m.from);
-            self.adopt(state, &m.to);
-            live[idx] = m.to.clone();
-            let errors = audit_system(state, live);
-            if !errors.is_empty() {
-                return Err(PlanApplyError::AuditFailed { job: m.job, errors });
-            }
-        }
-        self.adopt(state, &plan.admits);
-        live.push(plan.admits.clone());
-        let errors = audit_system(state, live);
-        if !errors.is_empty() {
-            return Err(PlanApplyError::AuditFailed {
-                job: plan.admits.job,
-                errors,
-            });
-        }
-        Ok(plan.admits.clone())
     }
 
     /// Release a previously granted allocation.

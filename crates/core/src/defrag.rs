@@ -1,5 +1,6 @@
-//! Migration planning: turning fragmentation rejects into
-//! [`Decision::Reconfigure`] proposals.
+//! Migration planning and execution: turning fragmentation rejects into
+//! [`Decision::Reconfigure`] proposals, and replaying them on the live
+//! machine.
 //!
 //! The paper's Algorithm 1 admits or rejects — which is exactly why
 //! fragmented fat-tree states strand capacity a bounded set of migrations
@@ -11,15 +12,15 @@
 //!   schemes are provided ([`PlanScheme`]): a greedy smallest-first
 //!   compactor and a simulated-annealing improver over eviction orders
 //!   (after Lan et al.'s neural simulated annealing — the classic
-//!   Metropolis schedule is used here).
+//!   Metropolis schedule is used here). Claimed allocations that must not
+//!   move (the daemon's advance reservations) are passed as `pinned`.
 //! * [`MigrationPlan`] is the proposal: an ordered move list plus the
 //!   proven placement for the triggering job. The move order is
 //!   *sequentially applicable* — applying moves one at a time (release the
 //!   old placement, adopt the new) never double-claims a node or link, so
 //!   a daemon can journal each move and survive a crash mid-plan.
-//! * [`Defragmenter`] wraps any [`Allocator`], tracks the live allocation
-//!   set, and upgrades fragmentation rejects (see
-//!   [`Reject::is_fragmentation`]) into `Reconfigure` decisions.
+//! * [`apply_move`] and [`apply_plan`] are the one executor: every caller
+//!   (simulator, daemon, benchmarks, tests) replays plans through them.
 //!
 //! # Plan soundness
 //!
@@ -72,7 +73,7 @@ impl Migration {
 ///
 /// Produced by [`plan_migrations`]; carried by
 /// [`Decision::Reconfigure`]. Applying the
-/// moves in order (see [`Allocator::apply_plan`]) and then adopting
+/// moves in order (see [`apply_plan`]) and then adopting
 /// [`MigrationPlan::admits`] yields a state in which the triggering job
 /// runs on the proven placement — no re-search is needed (or allowed: the
 /// placement was verified on the scratch clone, a fresh search might pick
@@ -141,8 +142,7 @@ impl Default for DefragConfig {
     }
 }
 
-/// Why applying a [`MigrationPlan`] failed. See
-/// [`Allocator::apply_plan`].
+/// Why applying a [`MigrationPlan`] failed. See [`apply_move`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanApplyError {
     /// A move's `from` placement is not in the caller's live set — the
@@ -188,9 +188,11 @@ impl std::error::Error for PlanApplyError {}
 /// Compute a migration plan that admits `req`, or `None` when no bounded
 /// plan exists.
 ///
-/// `alloc` and `state` are only cloned, never mutated; `live` is the full
-/// resident allocation set (owning every claim in `state` besides
-/// system-pinned nodes). `blocking` is the rejection the plain decision
+/// `alloc` and `state` are only cloned, never mutated. `live` and
+/// `pinned` together are every allocation claimed in `state` (besides
+/// system-pinned nodes): `live` may move, `pinned` may not — pinned
+/// allocations are never eviction candidates but are part of every
+/// scratch audit. `blocking` is the rejection the plain decision
 /// produced — plans are only searched for occupancy-caused rejections
 /// (shape/links/sharing/budget); `ZeroSize` and `NoNodes` return `None`
 /// immediately, since no rearrangement conjures capacity.
@@ -198,6 +200,7 @@ pub fn plan_migrations(
     alloc: &dyn Allocator,
     state: &SystemState,
     live: &[Allocation],
+    pinned: &[Allocation],
     req: &JobRequest,
     blocking: Reject,
     cfg: &DefragConfig,
@@ -218,15 +221,74 @@ pub fn plan_migrations(
     // best-ranked leaf. The greedy scheme evicts along this order; the
     // annealer uses it as its starting point.
     let order = leaf_coherent_order(state, live);
-
+    let planner = Planner {
+        alloc,
+        state,
+        live,
+        pinned,
+        req,
+        blocking,
+        max_moves: cfg.max_moves,
+    };
     match cfg.scheme {
-        PlanScheme::Greedy => {
-            evaluate_order(alloc, state, live, req, blocking, &order, cfg.max_moves)
-                .map(|(plan, _)| plan)
-        }
-        PlanScheme::Anneal { iters, seed } => {
-            anneal(alloc, state, live, req, blocking, order, cfg, iters, seed)
-        }
+        PlanScheme::Greedy => planner.evaluate_order(&order).map(|(plan, _)| plan),
+        PlanScheme::Anneal { iters, seed } => planner.anneal(order, iters, seed),
+    }
+}
+
+/// Execute one planned move on a real state: find `m.from` in `claimed`
+/// (the caller's list of every allocation claimed in `state`), release
+/// it, adopt `m.to`, replace the entry, and **re-audit the full system**.
+///
+/// This is the one place a migration touches a live state; the daemon
+/// journals each move write-ahead and then calls this, and [`apply_plan`]
+/// calls it for every move of a plan. All mutations go through
+/// [`Allocator::release`] / [`Allocator::adopt`], so schemes with
+/// internal bookkeeping (TA's classes) stay consistent.
+#[must_use = "a failed move leaves the plan half-applied; the caller must stop and report it"]
+pub fn apply_move(
+    alloc: &mut dyn Allocator,
+    state: &mut SystemState,
+    claimed: &mut [Allocation],
+    m: &Migration,
+) -> Result<(), PlanApplyError> {
+    let Some(idx) = claimed.iter().position(|a| *a == m.from) else {
+        return Err(PlanApplyError::StaleMove { job: m.job });
+    };
+    alloc.release(state, &m.from);
+    alloc.adopt(state, &m.to);
+    claimed[idx] = m.to.clone();
+    audited(state, claimed, m.job)
+}
+
+/// Apply a whole [`MigrationPlan`]: every move through [`apply_move`],
+/// then adopt the plan's admitted placement, push it onto `claimed` and
+/// audit once more. Returns the admitted placement — the caller must
+/// *not* re-decide the triggering request (a fresh search might pick a
+/// different placement than the proven one).
+#[must_use = "an unapplied or failed plan leaves the admitted placement unclaimed"]
+pub fn apply_plan(
+    alloc: &mut dyn Allocator,
+    state: &mut SystemState,
+    claimed: &mut Vec<Allocation>,
+    plan: &MigrationPlan,
+) -> Result<Allocation, PlanApplyError> {
+    for m in &plan.moves {
+        apply_move(alloc, state, claimed, m)?;
+    }
+    alloc.adopt(state, &plan.admits);
+    claimed.push(plan.admits.clone());
+    audited(state, claimed, plan.admits.job)?;
+    Ok(plan.admits.clone())
+}
+
+/// `Ok` when `claimed` balances `state`, else the findings blamed on `job`.
+fn audited(state: &SystemState, claimed: &[Allocation], job: JobId) -> Result<(), PlanApplyError> {
+    let errors = audit_system(state, claimed);
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(PlanApplyError::AuditFailed { job, errors })
     }
 }
 
@@ -283,155 +345,221 @@ fn leaf_coherent_order(state: &SystemState, live: &[Allocation]) -> Vec<usize> {
     order
 }
 
-/// Execute one candidate eviction order on a scratch clone. Returns the
-/// sequenced, audited plan and its score (nodes moved) or `None` when the
-/// order yields no valid bounded plan.
-///
-/// Most calls find no plan, so the failing path is kept cheap: one scratch
-/// state and allocator serve the whole order, every failed step is undone
-/// by releasing what it claimed (claims and releases are exact inverses),
-/// and the audit set is built only for a candidate whose evicted jobs were
-/// all re-homed.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_order(
-    alloc: &dyn Allocator,
-    state: &SystemState,
-    live: &[Allocation],
-    req: &JobRequest,
+/// One plan search: the inputs every candidate eviction order is
+/// evaluated against.
+struct Planner<'a> {
+    alloc: &'a dyn Allocator,
+    state: &'a SystemState,
+    /// Movable allocations; eviction orders index into this.
+    live: &'a [Allocation],
+    /// Claimed allocations that never move.
+    pinned: &'a [Allocation],
+    req: &'a JobRequest,
     blocking: Reject,
-    order: &[usize],
     max_moves: usize,
-) -> Option<(MigrationPlan, u32)> {
-    // Evict a growing prefix of `order`. A prefix where the request fits
-    // but some evicted job cannot be re-homed is not a dead end — the next
-    // eviction frees more room for BOTH the request and the re-placements
-    // — so phase-2 failure falls through to a longer prefix instead of
-    // aborting the whole order. Prefix k extends prefix k-1 by one
-    // victim, so the scratch pair carries over: a rejecting `decide`
-    // claims nothing, and an admission whose phase 2 fails is released
-    // before the next victim goes.
-    let mut scratch = state.clone();
-    let mut salloc = alloc.clone_box();
-    for k in 1..=max_moves.min(order.len()) {
-        let evicted = &order[..k];
-        salloc.release(&mut scratch, &live[order[k - 1]]);
+}
 
-        // Phase 1: does the blocked request fit after these evictions?
-        let Decision::Admit(admits) = salloc.decide(&mut scratch, req) else {
-            continue;
-        };
+impl Planner<'_> {
+    /// Execute one candidate eviction order on a scratch clone. Returns the
+    /// sequenced, audited plan and its score (nodes moved) or `None` when
+    /// the order yields no valid bounded plan.
+    ///
+    /// Most calls find no plan, so the failing path is kept cheap: one
+    /// scratch state and allocator serve the whole order, every failed
+    /// step is undone by releasing what it claimed (claims and releases
+    /// are exact inverses), and the audit set is built only for a
+    /// candidate whose evicted jobs were all re-homed.
+    fn evaluate_order(&self, order: &[usize]) -> Option<(MigrationPlan, u32)> {
+        let live = self.live;
+        // Evict a growing prefix of `order`. A prefix where the request
+        // fits but some evicted job cannot be re-homed is not a dead end —
+        // the next eviction frees more room for BOTH the request and the
+        // re-placements — so phase-2 failure falls through to a longer
+        // prefix instead of aborting the whole order. Prefix k extends
+        // prefix k-1 by one victim, so the scratch pair carries over: a
+        // rejecting `decide` claims nothing, and an admission whose phase 2
+        // fails is released before the next victim goes.
+        let mut scratch = self.state.clone();
+        let mut salloc = self.alloc.clone_box();
+        for k in 1..=self.max_moves.min(order.len()) {
+            let evicted = &order[..k];
+            salloc.release(&mut scratch, &live[order[k - 1]]);
 
-        // Phase 2: re-place every evicted job. The re-placement order
-        // decides which holes each job sees, and hence whether the move
-        // set is *sequentially applicable* — jobs placed into each other's
-        // old spots form a cyclic swap no one-move-at-a-time applier can
-        // execute. Try a small deterministic family of orders; the first
-        // one that yields a sound, acyclic plan wins. Largest-first leads
-        // (big jobs have the fewest placement options; give them first
-        // pick of the holes). An order equal to one already tried would
-        // fail the same way and is skipped (for k = 1 all three coincide).
-        // The triggering job is already claimed in `scratch`, so every
-        // re-placement is disjoint from `admits` by construction.
-        let mut largest_first: Vec<usize> = evicted.to_vec();
-        largest_first.sort_by_key(|&i| (std::cmp::Reverse(live[i].nodes.len()), live[i].job.0));
-        let mut eviction_rev: Vec<usize> = evicted.to_vec();
-        eviction_rev.reverse();
-        let candidates = [largest_first, evicted.to_vec(), eviction_rev];
-        for (c, replace_order) in candidates.iter().enumerate() {
-            if candidates[..c].contains(replace_order) {
+            // Phase 1: does the blocked request fit after these evictions?
+            let Decision::Admit(admits) = salloc.decide(&mut scratch, self.req) else {
+                continue;
+            };
+
+            // Phase 2: re-place every evicted job. The re-placement order
+            // decides which holes each job sees, and hence whether the
+            // move set is *sequentially applicable* — jobs placed into
+            // each other's old spots form a cyclic swap no
+            // one-move-at-a-time applier can execute. Try a small
+            // deterministic family of orders; the first one that yields a
+            // sound, acyclic plan wins. Largest-first leads (big jobs have
+            // the fewest placement options; give them first pick of the
+            // holes). An order equal to one already tried would fail the
+            // same way and is skipped (for k = 1 all three coincide). The
+            // triggering job is already claimed in `scratch`, so every
+            // re-placement is disjoint from `admits` by construction.
+            let mut largest_first: Vec<usize> = evicted.to_vec();
+            largest_first.sort_by_key(|&i| (std::cmp::Reverse(live[i].nodes.len()), live[i].job.0));
+            let mut eviction_rev: Vec<usize> = evicted.to_vec();
+            eviction_rev.reverse();
+            let candidates = [largest_first, evicted.to_vec(), eviction_rev];
+            for (c, replace_order) in candidates.iter().enumerate() {
+                if candidates[..c].contains(replace_order) {
+                    continue;
+                }
+                let replaced = self.replace_evicted(
+                    salloc.as_mut(),
+                    &mut scratch,
+                    evicted,
+                    replace_order,
+                    &admits,
+                );
+                if let Some(moves) = replaced {
+                    let score = moves.iter().map(Migration::nodes_moved).sum();
+                    return Some((
+                        MigrationPlan {
+                            admits,
+                            blocking: self.blocking,
+                            moves,
+                        },
+                        score,
+                    ));
+                }
+            }
+            salloc.release(&mut scratch, &admits);
+            salloc.recycle(admits);
+        }
+        None
+    }
+
+    /// Phase 2 of [`Planner::evaluate_order`] for one re-placement order,
+    /// run on the phase-1 scratch pair (which already holds `admits`).
+    /// Returns the sequenced moves, or `None` — with every re-placement
+    /// released again — when some evicted job cannot be re-homed, the
+    /// executed schedule fails the audit, or the moves form a cycle.
+    fn replace_evicted(
+        &self,
+        salloc: &mut dyn Allocator,
+        scratch: &mut SystemState,
+        evicted: &[usize],
+        replace_order: &[usize],
+        admits: &Allocation,
+    ) -> Option<Vec<Migration>> {
+        let mut placed: Vec<Allocation> = Vec::with_capacity(replace_order.len());
+        for &i in replace_order {
+            let old = &self.live[i];
+            let back = JobRequest::with_bandwidth(old.job, old.requested, old.bw_tenths);
+            let Decision::Admit(new_placement) = salloc.decide(scratch, &back) else {
+                break; // cannot re-home everyone at this depth
+            };
+            placed.push(new_placement);
+        }
+        if placed.len() == replace_order.len() {
+            if let Some(moves) =
+                self.audited_moves(scratch, evicted, replace_order, admits, &placed)
+            {
+                return Some(moves);
+            }
+        }
+        for p in placed.into_iter().rev() {
+            salloc.release(scratch, &p);
+            salloc.recycle(p);
+        }
+        None
+    }
+
+    /// The moves of a fully re-homed candidate, sequenced, provided the
+    /// executed scratch schedule audits clean (defensive — a failure here
+    /// is an allocator bug, not a caller error) and the moves form no
+    /// cycle.
+    fn audited_moves(
+        &self,
+        scratch: &SystemState,
+        evicted: &[usize],
+        replace_order: &[usize],
+        admits: &Allocation,
+        placed: &[Allocation],
+    ) -> Option<Vec<Migration>> {
+        let live = self.live;
+        let mut scratch_live: Vec<Allocation> = (0..live.len())
+            .filter(|i| !evicted.contains(i))
+            .map(|i| live[i].clone())
+            .collect();
+        scratch_live.push(admits.clone());
+        scratch_live.extend_from_slice(placed);
+        scratch_live.extend_from_slice(self.pinned);
+        if !audit_system(scratch, &scratch_live).is_empty() {
+            return None;
+        }
+        let moves = replace_order
+            .iter()
+            .zip(placed)
+            .filter(|&(&i, to)| *to != live[i])
+            .map(|(&i, to)| Migration {
+                job: live[i].job,
+                from: live[i].clone(),
+                to: to.clone(),
+            })
+            .collect();
+        sequence_moves(moves)
+    }
+
+    /// Metropolis annealing over eviction orders, starting from the greedy
+    /// order. Deterministic for fixed inputs and `seed`.
+    fn anneal(&self, start_order: Vec<usize>, iters: u32, seed: u64) -> Option<MigrationPlan> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut current_order = start_order;
+        let mut current = self.evaluate_order(&current_order);
+        let mut best = current.clone();
+        if current_order.len() < 2 {
+            return best.map(|(plan, _)| plan);
+        }
+        // Initial temperature of a few nodes' worth of cost; geometric
+        // cooling.
+        let mut temperature = 8.0_f64;
+        let cooling = 0.95_f64;
+        // Swapping positions past the eviction window never changes the
+        // plan; keep proposals inside (a bit beyond) the window so steps
+        // matter.
+        let window = (self.max_moves + 2).min(current_order.len());
+        for _ in 0..iters {
+            let a = rng.random_range(0..window);
+            let b = rng.random_range(0..window);
+            if a == b {
+                temperature *= cooling;
                 continue;
             }
-            let replaced = replace_evicted(
-                salloc.as_mut(),
-                &mut scratch,
-                live,
-                evicted,
-                replace_order,
-                &admits,
-            );
-            if let Some(moves) = replaced {
-                let score = moves.iter().map(Migration::nodes_moved).sum();
-                return Some((
-                    MigrationPlan {
-                        admits,
-                        blocking,
-                        moves,
-                    },
-                    score,
-                ));
+            let mut candidate_order = current_order.clone();
+            candidate_order.swap(a, b);
+            let candidate = self.evaluate_order(&candidate_order);
+            let accept = match (&candidate, &current) {
+                (Some((_, new_score)), Some((_, cur_score))) => {
+                    let delta = f64::from(*new_score) - f64::from(*cur_score);
+                    delta <= 0.0 || rng.random_bool((-delta / temperature).exp())
+                }
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if accept {
+                current_order = candidate_order;
+                current = candidate;
+                let improves = match (&current, &best) {
+                    (Some((_, s)), Some((_, b))) => s < b,
+                    (Some(_), None) => true,
+                    _ => false,
+                };
+                if improves {
+                    best = current.clone();
+                }
             }
+            temperature *= cooling;
         }
-        salloc.release(&mut scratch, &admits);
-        salloc.recycle(admits);
+        best.map(|(plan, _)| plan)
     }
-    None
-}
-
-/// Phase 2 of [`evaluate_order`] for one re-placement order, run on the
-/// phase-1 scratch pair (which already holds `admits`). Returns the
-/// sequenced moves, or `None` — with every re-placement released again —
-/// when some evicted job cannot be re-homed, the executed schedule fails
-/// the audit, or the moves form a cycle.
-fn replace_evicted(
-    salloc: &mut dyn Allocator,
-    scratch: &mut SystemState,
-    live: &[Allocation],
-    evicted: &[usize],
-    replace_order: &[usize],
-    admits: &Allocation,
-) -> Option<Vec<Migration>> {
-    let mut placed: Vec<Allocation> = Vec::with_capacity(replace_order.len());
-    for &i in replace_order {
-        let old = &live[i];
-        let back = JobRequest::with_bandwidth(old.job, old.requested, old.bw_tenths);
-        let Decision::Admit(new_placement) = salloc.decide(scratch, &back) else {
-            break; // cannot re-home everyone at this depth
-        };
-        placed.push(new_placement);
-    }
-    if placed.len() == replace_order.len() {
-        if let Some(moves) = audited_moves(scratch, live, evicted, replace_order, admits, &placed) {
-            return Some(moves);
-        }
-    }
-    for p in placed.into_iter().rev() {
-        salloc.release(scratch, &p);
-        salloc.recycle(p);
-    }
-    None
-}
-
-/// The moves of a fully re-homed candidate, sequenced, provided the
-/// executed scratch schedule audits clean (defensive — a failure here is
-/// an allocator bug, not a caller error) and the moves form no cycle.
-fn audited_moves(
-    scratch: &SystemState,
-    live: &[Allocation],
-    evicted: &[usize],
-    replace_order: &[usize],
-    admits: &Allocation,
-    placed: &[Allocation],
-) -> Option<Vec<Migration>> {
-    let mut scratch_live: Vec<Allocation> = (0..live.len())
-        .filter(|i| !evicted.contains(i))
-        .map(|i| live[i].clone())
-        .collect();
-    scratch_live.push(admits.clone());
-    scratch_live.extend_from_slice(placed);
-    if !audit_system(scratch, &scratch_live).is_empty() {
-        return None;
-    }
-    let moves = replace_order
-        .iter()
-        .zip(placed)
-        .filter(|&(&i, to)| *to != live[i])
-        .map(|(&i, to)| Migration {
-            job: live[i].job,
-            from: live[i].clone(),
-            to: to.clone(),
-        })
-        .collect();
-    sequence_moves(moves)
 }
 
 /// Order `moves` so they are sequentially applicable: each move's `to`
@@ -453,182 +581,6 @@ fn sequence_moves(mut moves: Vec<Migration>) -> Option<Vec<Migration>> {
         ordered.push(moves.swap_remove(ready));
     }
     Some(ordered)
-}
-
-/// Metropolis annealing over eviction orders, starting from the greedy
-/// order. Deterministic for fixed inputs and `seed`.
-#[allow(clippy::too_many_arguments)]
-fn anneal(
-    alloc: &dyn Allocator,
-    state: &SystemState,
-    live: &[Allocation],
-    req: &JobRequest,
-    blocking: Reject,
-    start_order: Vec<usize>,
-    cfg: &DefragConfig,
-    iters: u32,
-    seed: u64,
-) -> Option<MigrationPlan> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut current_order = start_order;
-    let mut current = evaluate_order(
-        alloc,
-        state,
-        live,
-        req,
-        blocking,
-        &current_order,
-        cfg.max_moves,
-    );
-    let mut best = current.clone();
-    if current_order.len() < 2 {
-        return best.map(|(plan, _)| plan);
-    }
-    // Initial temperature of a few nodes' worth of cost; geometric cooling.
-    let mut temperature = 8.0_f64;
-    let cooling = 0.95_f64;
-    // Swapping positions past the eviction window never changes the plan;
-    // keep proposals inside (a bit beyond) the window so steps matter.
-    let window = (cfg.max_moves + 2).min(current_order.len());
-    for _ in 0..iters {
-        let a = rng.random_range(0..window);
-        let b = rng.random_range(0..window);
-        if a == b {
-            temperature *= cooling;
-            continue;
-        }
-        let mut candidate_order = current_order.clone();
-        candidate_order.swap(a, b);
-        let candidate = evaluate_order(
-            alloc,
-            state,
-            live,
-            req,
-            blocking,
-            &candidate_order,
-            cfg.max_moves,
-        );
-        let accept = match (&candidate, &current) {
-            (Some((_, new_score)), Some((_, cur_score))) => {
-                let delta = f64::from(*new_score) - f64::from(*cur_score);
-                delta <= 0.0 || rng.random_bool((-delta / temperature).exp())
-            }
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if accept {
-            current_order = candidate_order;
-            current = candidate;
-            let improves = match (&current, &best) {
-                (Some((_, s)), Some((_, b))) => s < b,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if improves {
-                best = current.clone();
-            }
-        }
-        temperature *= cooling;
-    }
-    best.map(|(plan, _)| plan)
-}
-
-/// An [`Allocator`] wrapper that turns fragmentation rejects into
-/// [`Decision::Reconfigure`] proposals.
-///
-/// The wrapper tracks the live allocation set by observing its own
-/// `decide`/`release`/`adopt` traffic, so it must see *every* grant and
-/// release (wrap the allocator before first use, or seed the set with
-/// [`Defragmenter::with_live`] when adopting an existing schedule). Plain
-/// rejects — zero size, raw node shortage, or requests that would not fit
-/// even an empty machine — pass through untouched.
-#[derive(Clone)]
-pub struct Defragmenter {
-    inner: Box<dyn Allocator>,
-    live: Vec<Allocation>,
-    cfg: DefragConfig,
-}
-
-impl Defragmenter {
-    /// Wrap `inner`, starting from an empty machine.
-    pub fn new(inner: Box<dyn Allocator>, cfg: DefragConfig) -> Defragmenter {
-        Defragmenter::with_live(inner, cfg, Vec::new())
-    }
-
-    /// Wrap `inner` over a machine that already hosts `live` (the wrapper
-    /// assumes every allocation in `live` is claimed in the states it will
-    /// be handed).
-    pub fn with_live(
-        inner: Box<dyn Allocator>,
-        cfg: DefragConfig,
-        live: Vec<Allocation>,
-    ) -> Defragmenter {
-        Defragmenter { inner, live, cfg }
-    }
-
-    /// The tracked live allocation set (insertion order).
-    pub fn live(&self) -> &[Allocation] {
-        &self.live
-    }
-
-    /// The planning bounds and scheme in use.
-    pub fn config(&self) -> &DefragConfig {
-        &self.cfg
-    }
-}
-
-impl Allocator for Defragmenter {
-    fn name(&self) -> &'static str {
-        // Deliberately transparent: metrics and STATS keep reporting the
-        // underlying scheme.
-        self.inner.name()
-    }
-
-    fn decide(&mut self, state: &mut SystemState, req: &JobRequest) -> Decision {
-        match self.inner.decide(state, req) {
-            Decision::Admit(alloc) => {
-                self.live.push(alloc.clone());
-                Decision::Admit(alloc)
-            }
-            Decision::Reject(reject) if reject.is_fragmentation() => {
-                match plan_migrations(&*self.inner, state, &self.live, req, reject, &self.cfg) {
-                    Some(plan) => Decision::Reconfigure(plan),
-                    None => Decision::Reject(reject),
-                }
-            }
-            other => other,
-        }
-    }
-
-    fn release(&mut self, state: &mut SystemState, alloc: &Allocation) {
-        self.live.retain(|a| a.job != alloc.job);
-        self.inner.release(state, alloc);
-    }
-
-    fn adopt(&mut self, state: &mut SystemState, alloc: &Allocation) {
-        self.inner.adopt(state, alloc);
-        self.live.push(alloc.clone());
-    }
-
-    fn recycle(&mut self, alloc: Allocation) {
-        self.inner.recycle(alloc);
-    }
-
-    fn last_search_steps(&self) -> u64 {
-        self.inner.last_search_steps()
-    }
-
-    fn clone_box(&self) -> Box<dyn Allocator> {
-        Box::new(self.clone())
-    }
-
-    fn fresh_box(&self) -> Box<dyn Allocator> {
-        Box::new(Defragmenter {
-            inner: self.inner.fresh_box(),
-            live: Vec::new(),
-            cfg: self.cfg,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -694,6 +646,7 @@ mod tests {
             &*alloc,
             &state,
             &live,
+            &[],
             &req,
             reject,
             &DefragConfig::default(),
@@ -704,9 +657,8 @@ mod tests {
         assert_eq!(plan.admits.job, req.id);
         assert_eq!(plan.admits.nodes.len() as u32, req.size);
 
-        let admitted = alloc
-            .apply_plan(&mut state, &mut live, &plan)
-            .expect("plan applies cleanly");
+        let admitted =
+            apply_plan(alloc.as_mut(), &mut state, &mut live, &plan).expect("plan applies cleanly");
         assert_eq!(admitted, plan.admits);
         state.assert_consistent();
         assert!(audit_system(&state, &live).is_empty());
@@ -725,45 +677,13 @@ mod tests {
             max_moves: 8,
             scheme: PlanScheme::Anneal { iters: 16, seed: 7 },
         };
-        let plan = plan_migrations(&*alloc, &state, &live, &req, reject, &cfg)
+        let plan = plan_migrations(&*alloc, &state, &live, &[], &req, reject, &cfg)
             .expect("anneal finds at least the greedy plan");
         // Same seed, same plan: the annealer is deterministic.
-        let again = plan_migrations(&*alloc, &state, &live, &req, reject, &cfg).unwrap();
+        let again = plan_migrations(&*alloc, &state, &live, &[], &req, reject, &cfg).unwrap();
         assert_eq!(plan, again);
-        alloc
-            .apply_plan(&mut state, &mut live, &plan)
-            .expect("anneal plan applies");
+        apply_plan(alloc.as_mut(), &mut state, &mut live, &plan).expect("anneal plan applies");
         assert!(audit_system(&state, &live).is_empty());
-    }
-
-    #[test]
-    fn defragmenter_upgrades_fragmentation_rejects() {
-        let (state, alloc, live) = fragmented();
-        let mut state = state;
-        let tree = *state.tree();
-        let mut defrag = Defragmenter::with_live(alloc, DefragConfig::default(), live.clone());
-        let req = blocked_req(&tree);
-        let plan = match defrag.decide(&mut state, &req) {
-            Decision::Reconfigure(plan) => plan,
-            other => panic!("expected Reconfigure, got {other:?}"),
-        };
-        let mut caller_live = live;
-        let admitted = defrag
-            .apply_plan(&mut state, &mut caller_live, &plan)
-            .expect("plan applies");
-        // Internal tracking followed the moves: the defragmenter can plan
-        // again from its own books.
-        assert!(defrag.live().contains(&admitted));
-        assert_eq!(defrag.live().len(), caller_live.len());
-        assert!(audit_system(&state, &caller_live).is_empty());
-
-        // A request that fits nowhere ever passes through as a plain
-        // reject (no plan search).
-        let impossible = JobRequest::new(JobId(2000), tree.num_nodes() + 1);
-        match defrag.decide(&mut state, &impossible) {
-            Decision::Reject(r) => assert!(!r.would_fit_empty),
-            other => panic!("expected Reject, got {other:?}"),
-        }
     }
 
     #[test]
@@ -779,6 +699,7 @@ mod tests {
             &*alloc,
             &state,
             &live,
+            &[],
             &req,
             reject,
             &DefragConfig::default(),
@@ -790,7 +711,7 @@ mod tests {
         let gone = live.remove(idx);
         alloc.release(&mut state, &gone);
         assert_eq!(
-            alloc.apply_plan(&mut state, &mut live, &plan),
+            apply_plan(alloc.as_mut(), &mut state, &mut live, &plan),
             Err(PlanApplyError::StaleMove { job: moved })
         );
     }
@@ -869,52 +790,103 @@ mod tests {
         order
     }
 
+    /// Random churn on a radix-8 machine: admit `sizes`, complete the
+    /// jobs `releases` picks, backfill with 1-node fillers and complete
+    /// every other filler — sub-leaf holes, multi-leaf jobs and many
+    /// equal-size ties in the candidate order.
+    fn churned(
+        sizes: &[u32],
+        releases: &[usize],
+    ) -> (SystemState, Box<dyn Allocator>, Vec<Allocation>) {
+        let tree = FatTree::maximal(8).unwrap();
+        let mut state = SystemState::new(tree);
+        let mut alloc = Scheme::Jigsaw.make(&tree);
+        let mut live = Vec::new();
+        for (i, &size) in sizes.iter().enumerate() {
+            if let Ok(a) = alloc.try_admit(&mut state, &JobRequest::new(JobId(i as u32), size)) {
+                live.push(a);
+            }
+        }
+        let mut filler = 10_000u32;
+        for &r in releases {
+            if live.is_empty() {
+                break;
+            }
+            let done = live.swap_remove(r % live.len());
+            alloc.release(&mut state, &done);
+            while let Ok(a) = alloc.try_admit(&mut state, &JobRequest::new(JobId(filler), 1)) {
+                live.push(a);
+                filler += 1;
+            }
+        }
+        let mut i = 0;
+        live.retain(|a| {
+            i += 1;
+            let keep = a.job.0 < 10_000 || i % 2 == 0;
+            if !keep {
+                crate::alloc::release_allocation(&mut state, a);
+            }
+            keep
+        });
+        (state, alloc, live)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random churn on a radix-8 machine: admit `sizes`, complete the
-        /// jobs `releases` picks, backfill with 1-node fillers and complete
-        /// every other filler — sub-leaf holes, multi-leaf jobs and many
-        /// equal-size ties in the candidate order.
         #[test]
         fn leaf_coherent_order_matches_the_hashmap_oracle(
             sizes in proptest::collection::vec(1u32..40, 1..40),
             releases in proptest::collection::vec(any::<usize>(), 0..12),
         ) {
-            let tree = FatTree::maximal(8).unwrap();
-            let mut state = SystemState::new(tree);
-            let mut alloc = Scheme::Jigsaw.make(&tree);
-            let mut live = Vec::new();
-            for (i, &size) in sizes.iter().enumerate() {
-                if let Ok(a) = alloc.try_admit(&mut state, &JobRequest::new(JobId(i as u32), size)) {
-                    live.push(a);
-                }
-            }
-            let mut filler = 10_000u32;
-            for &r in &releases {
-                if live.is_empty() {
-                    break;
-                }
-                let done = live.swap_remove(r % live.len());
-                alloc.release(&mut state, &done);
-                while let Ok(a) = alloc.try_admit(&mut state, &JobRequest::new(JobId(filler), 1)) {
-                    live.push(a);
-                    filler += 1;
-                }
-            }
-            let mut i = 0;
-            live.retain(|a| {
-                i += 1;
-                let keep = a.job.0 < 10_000 || i % 2 == 0;
-                if !keep {
-                    crate::alloc::release_allocation(&mut state, a);
-                }
-                keep
-            });
+            let (state, _, live) = churned(&sizes, &releases);
             prop_assert_eq!(
                 leaf_coherent_order(&state, &live),
                 leaf_coherent_order_oracle(&state, &live)
             );
+        }
+
+        /// Pinned allocations (the daemon's advance reservations) never
+        /// move, and a plan made around them applies with the whole
+        /// claimed set — movable and pinned — auditing clean.
+        #[test]
+        fn plans_never_move_pinned_allocations(
+            sizes in proptest::collection::vec(1u32..9, 48..96),
+            releases in proptest::collection::vec(0usize..64, 3..10),
+            pin_mask in any::<u64>(),
+            probe_size in 5u32..17,
+        ) {
+            let (state, alloc, claimed) = churned(&sizes, &releases);
+            let (mut live, mut pinned) = (Vec::new(), Vec::new());
+            for (i, a) in claimed.into_iter().enumerate() {
+                if pin_mask >> (i % 64) & 1 == 1 {
+                    pinned.push(a);
+                } else {
+                    live.push(a);
+                }
+            }
+            let req = JobRequest::new(JobId(9_999), probe_size);
+            let reject = match alloc.clone_box().try_admit(&mut state.clone(), &req) {
+                Err(r) if r.is_fragmentation() => r,
+                _ => return,
+            };
+            for scheme in [PlanScheme::Greedy, PlanScheme::Anneal { iters: 32, seed: 5 }] {
+                let cfg = DefragConfig { scheme, ..DefragConfig::default() };
+                let plan = plan_migrations(&*alloc, &state, &live, &pinned, &req, reject, &cfg);
+                let Some(plan) = plan else { continue };
+                for m in &plan.moves {
+                    prop_assert!(pinned.iter().all(|p| p.job != m.job), "moved pinned job {}", m.job.0);
+                }
+                let mut state = state.clone();
+                let mut alloc = alloc.clone_box();
+                let mut all: Vec<Allocation> = live.iter().chain(&pinned).cloned().collect();
+                let admitted = apply_plan(alloc.as_mut(), &mut state, &mut all, &plan)
+                    .expect("a plan applies with every claimed allocation audited");
+                prop_assert_eq!(admitted.job, req.id);
+                for p in &pinned {
+                    prop_assert!(all.contains(p));
+                }
+            }
         }
     }
 }

@@ -26,8 +26,9 @@
 //! validated against the paper's formal conditions via
 //! [`conditions::check_shape`]. Wrapping any scheme in
 //! [`ObservedAllocator`] records per-scheme latency/effort/rejection
-//! metrics into a [`Registry`](jigsaw_obs::Registry); wrapping it in
-//! [`Defragmenter`] upgrades fragmentation rejects into migration plans.
+//! metrics into a [`Registry`](jigsaw_obs::Registry); [`plan_migrations`]
+//! turns a fragmentation reject into a migration plan, and
+//! [`defrag::apply_plan`] executes it.
 //!
 //! ```
 //! use jigsaw_core::{Allocator, Decision, JigsawAllocator, JobRequest, RejectReason, Scheme};
@@ -80,8 +81,7 @@ pub use audit::{audit_system, AuditError};
 pub use baseline::BaselineAllocator;
 pub use conditions::{check_shape, ConditionViolation};
 pub use defrag::{
-    plan_migrations, DefragConfig, Defragmenter, Migration, MigrationPlan, PlanApplyError,
-    PlanScheme,
+    plan_migrations, DefragConfig, Migration, MigrationPlan, PlanApplyError, PlanScheme,
 };
 pub use instrument::{AllocatorObs, ObservedAllocator};
 pub use jigsaw::JigsawAllocator;

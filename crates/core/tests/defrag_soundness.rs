@@ -6,7 +6,7 @@
 //! fully executed on a scratch clone — evictions, re-placements, and the
 //! triggering admission all through the real allocator — and audited
 //! there. This test closes the loop on the REAL state: apply the plan
-//! with [`Allocator::apply_plan`] (per-move release/adopt with a system
+//! with [`apply_plan`] (per-move release/adopt with a system
 //! audit after every move) and check the post-state invariants for any
 //! randomly fragmented machine:
 //!
@@ -21,7 +21,7 @@
 //! Planning is also checked to be deterministic: the same inputs yield
 //! the identical plan.
 
-use jigsaw_core::defrag::{plan_migrations, DefragConfig, PlanScheme};
+use jigsaw_core::defrag::{apply_plan, plan_migrations, DefragConfig, PlanScheme};
 use jigsaw_core::{audit_system, Allocation, Allocator, JobRequest, Scheme};
 use jigsaw_topology::ids::JobId;
 use jigsaw_topology::{FatTree, SystemState};
@@ -93,9 +93,9 @@ proptest! {
 
         for scheme in [PlanScheme::Greedy, PlanScheme::Anneal { iters: 32, seed: 11 }] {
             let cfg = DefragConfig { scheme, ..DefragConfig::default() };
-            let plan = plan_migrations(alloc.as_ref(), &state, &live, &req, reject, &cfg);
+            let plan = plan_migrations(alloc.as_ref(), &state, &live, &[], &req, reject, &cfg);
             // Planning must be deterministic: same inputs, same plan.
-            let again = plan_migrations(alloc.as_ref(), &state, &live, &req, reject, &cfg);
+            let again = plan_migrations(alloc.as_ref(), &state, &live, &[], &req, reject, &cfg);
             prop_assert_eq!(&plan, &again);
             let Some(plan) = plan else { continue };
 
@@ -109,8 +109,7 @@ proptest! {
             let mut alloc = alloc.clone_box();
             let mut live = live.clone();
             let before = state.allocated_node_count();
-            let admitted = alloc
-                .apply_plan(&mut state, &mut live, &plan)
+            let admitted = apply_plan(alloc.as_mut(), &mut state, &mut live, &plan)
                 .expect("a plan applies cleanly to the state it was planned on");
             prop_assert_eq!(admitted.job, req.id);
             prop_assert_eq!(admitted.nodes.len() as u32, probe_size);

@@ -74,7 +74,7 @@ pub use jigsaw_traces as traces;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use jigsaw_core::defrag::{
-        plan_migrations, DefragConfig, Defragmenter, Migration, MigrationPlan, PlanApplyError,
+        apply_plan, plan_migrations, DefragConfig, Migration, MigrationPlan, PlanApplyError,
         PlanScheme,
     };
     pub use jigsaw_core::{

@@ -14,26 +14,22 @@
 //!   protocol-table drift against HELP and the README, and recycle leaks
 //!   in the experiment drivers.
 //!
-//! The analysis pipeline has three phases: a parallel per-file phase
-//! (lex + parse + R1–R5) fanned out over [`jigsaw_par::Pool`] in
-//! submission order so reports are byte-identical at any worker count; a
-//! sequential cross-file phase (R6–R10 over the assembled workspace
-//! model); and a merge phase that applies waivers once per file. Whole-run
-//! results are memoized by the content-hash [`cache`].
+//! The analysis pipeline is one sequential pass in three phases: a
+//! per-file phase (lex + parse + R1–R5), a cross-file phase (R6–R10 over
+//! the assembled workspace model), and a merge phase that applies waivers
+//! once per file.
 //!
 //! The crate is a library plus a thin `main.rs` so the integration tests
 //! can drive the engine directly against golden fixtures.
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod graph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 pub mod rules6_10;
 
-use jigsaw_par::Pool;
 use lexer::Suppression;
 use parser::ParsedFile;
 use rules::{FileClass, FileReport, Violation, Waiver};
@@ -113,13 +109,9 @@ fn scan_file(rel: &str, src: &str) -> Scan {
 ///
 /// `files` are `(workspace-relative path, source)` pairs; order is
 /// preserved into the report (callers wanting the canonical order sort
-/// paths first, as [`collect_workspace`] does). The per-file phase fans
-/// out over `pool` with submission-order results, so the report is
-/// byte-identical at any worker count.
-pub fn analyze_sources(files: Vec<(String, String)>, docs: &Docs, pool: &Pool) -> Report {
-    let scans: Vec<Scan> = pool
-        .map(files, |_, (rel, src)| scan_file(&rel, &src))
-        .expect("per-file scan panicked: lexer/parser bug");
+/// paths first, as [`collect_workspace`] does).
+pub fn analyze_sources(files: &[(String, String)], docs: &Docs) -> Report {
+    let scans: Vec<Scan> = files.iter().map(|(rel, src)| scan_file(rel, src)).collect();
 
     let cross = rules6_10::check_workspace(&scans, docs);
     let mut cross_by_file: BTreeMap<String, Vec<Violation>> = BTreeMap::new();
@@ -173,16 +165,10 @@ pub fn collect_workspace(root: &Path) -> io::Result<(Vec<(String, String)>, Docs
     Ok((files, docs))
 }
 
-/// Walk `root` (a workspace checkout) and run the full R1–R10 pipeline
-/// sequentially. See [`lint_workspace_with`] for a parallel scan.
+/// Walk `root` (a workspace checkout) and run the full R1–R10 pipeline.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    lint_workspace_with(root, &Pool::sequential())
-}
-
-/// [`lint_workspace`], with the per-file phase fanned out over `pool`.
-pub fn lint_workspace_with(root: &Path, pool: &Pool) -> io::Result<Report> {
     let (files, docs) = collect_workspace(root)?;
-    Ok(analyze_sources(files, &docs, pool))
+    Ok(analyze_sources(&files, &docs))
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {

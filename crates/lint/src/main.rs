@@ -5,15 +5,10 @@
 //! cargo run -p jigsaw-lint -- --deny           # exit 1 on any violation (CI mode)
 //! cargo run -p jigsaw-lint -- --emit github    # workflow annotations
 //! cargo run -p jigsaw-lint -- --fix            # delete stale waivers
-//! cargo run -p jigsaw-lint -- --jobs 8         # parallel per-file phase
 //! ```
-//!
-//! Whole-run results are cached under `target/jigsaw-analyze.cache`, keyed
-//! by a content hash of every input; `--no-cache` forces a fresh run.
 
 #![forbid(unsafe_code)]
 
-use jigsaw_par::Pool;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -27,8 +22,6 @@ struct Flags {
     deny: bool,
     emit: Emit,
     fix: bool,
-    jobs: Option<usize>,
-    no_cache: bool,
     root: Option<PathBuf>,
 }
 
@@ -37,17 +30,13 @@ fn parse_flags() -> Result<Flags, String> {
         deny: false,
         emit: Emit::Text,
         fix: false,
-        jobs: None,
-        no_cache: false,
         root: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => flags.deny = true,
-            "--json" => flags.emit = Emit::Json,
             "--fix" => flags.fix = true,
-            "--no-cache" => flags.no_cache = true,
             "--emit" => {
                 let v = args
                     .next()
@@ -59,16 +48,6 @@ fn parse_flags() -> Result<Flags, String> {
                     other => return Err(format!("unknown --emit mode `{other}`")),
                 };
             }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a worker count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs needs a number, got `{v}`"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                flags.jobs = Some(n);
-            }
             "--root" => {
                 let v = args.next().ok_or("--root needs a path")?;
                 flags.root = Some(PathBuf::from(v));
@@ -77,13 +56,10 @@ fn parse_flags() -> Result<Flags, String> {
                 println!(
                     "jigsaw-analyze: enforce the workspace safety contracts (R1-R10)\n\n\
                      USAGE: jigsaw-lint [--deny] [--emit text|json|github] [--fix]\n\
-                            [--jobs N] [--no-cache] [--root <dir>]\n\n\
+                            [--root <dir>]\n\n\
                      --deny        exit nonzero on any violation or stale suppression\n\
                      --emit MODE   output mode: text (default), json, or github\n\
-                     --json        shorthand for --emit json\n\
                      --fix         delete stale (unused) waiver comments, then re-run\n\
-                     --jobs N      per-file scan workers (default: JIGSAW_JOBS or all cores)\n\
-                     --no-cache    ignore and do not write the content-hash cache\n\
                      --root <dir>  lint this tree instead of the enclosing workspace\n\n\
                      Rules R1-R5 are documented in DESIGN.md section 10, R6-R10 in\n\
                      section 15. Waive a finding with\n\
@@ -95,32 +71,6 @@ fn parse_flags() -> Result<Flags, String> {
         }
     }
     Ok(flags)
-}
-
-fn run(
-    root: &std::path::Path,
-    pool: &Pool,
-    use_cache: bool,
-) -> std::io::Result<jigsaw_lint::Report> {
-    let (files, docs) = jigsaw_lint::collect_workspace(root)?;
-    let key = jigsaw_lint::cache::workspace_key(&files, &docs);
-    let cache_path = root.join("target").join("jigsaw-analyze.cache");
-    if use_cache {
-        if let Some(report) = jigsaw_lint::cache::load(&cache_path, key) {
-            eprintln!(
-                "jigsaw-analyze: cache hit ({} files unchanged)",
-                report.files_scanned
-            );
-            return Ok(report);
-        }
-    }
-    let report = jigsaw_lint::analyze_sources(files, &docs, pool);
-    if use_cache {
-        if let Err(e) = jigsaw_lint::cache::store(&cache_path, key, &report) {
-            eprintln!("jigsaw-analyze: could not write cache: {e}");
-        }
-    }
-    Ok(report)
 }
 
 fn main() -> ExitCode {
@@ -149,11 +99,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let pool = flags.jobs.map_or_else(Pool::from_env, Pool::new);
-
-    // `--fix` mutates sources, so it always re-analyzes from scratch.
-    let use_cache = !flags.no_cache && !flags.fix;
-    let mut report = match run(&root, &pool, use_cache) {
+    let mut report = match jigsaw_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("jigsaw-lint: failed to scan {}: {e}", root.display());
@@ -166,7 +112,7 @@ fn main() -> ExitCode {
             Ok(0) => {}
             Ok(n) => {
                 eprintln!("jigsaw-analyze: deleted {n} stale waiver(s); re-running");
-                report = match run(&root, &pool, false) {
+                report = match jigsaw_lint::lint_workspace(&root) {
                     Ok(r) => r,
                     Err(e) => {
                         eprintln!("jigsaw-lint: failed to re-scan {}: {e}", root.display());

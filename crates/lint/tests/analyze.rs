@@ -3,19 +3,17 @@
 //! waiver keeps the run dirty. The drift rules (R8/R9) are additionally
 //! exercised *bidirectionally against the real workspace*: deleting a
 //! catalog row, a registration, a protocol-table entry, or a README token
-//! must each make the report unclean. The emitters (`--emit github`),
-//! the waiver fixer (`--fix`), the result cache, and the parallel scan
-//! are tested directly.
+//! must each make the report unclean. The emitters (`--emit github`) and
+//! the waiver fixer (`--fix`) are tested directly.
 //!
 //! Fixture files are plain text to the lint engine (never compiled), so
 //! they can hold deliberate violations without affecting the build.
 
 use jigsaw_lint::rules6_10::{ENGINE_FILE, PROTOCOL_FILE};
 use jigsaw_lint::{
-    analyze_sources, cache, collect_workspace, find_workspace_root, fix_stale_waivers,
-    lint_workspace, render_github, render_text, Docs, Report,
+    analyze_sources, collect_workspace, find_workspace_root, fix_stale_waivers, lint_workspace,
+    render_github, Docs, Report,
 };
-use jigsaw_par::Pool;
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> String {
@@ -27,11 +25,11 @@ fn fixture(name: &str) -> String {
 
 /// Run the full pipeline over in-memory `(rel_path, src)` pairs.
 fn analyze(files: &[(&str, &str)], docs: &Docs) -> Report {
-    let owned = files
+    let owned: Vec<(String, String)> = files
         .iter()
         .map(|(r, s)| (r.to_string(), s.to_string()))
         .collect();
-    analyze_sources(owned, docs, &Pool::sequential())
+    analyze_sources(&owned, docs)
 }
 
 fn rules_fired(report: &Report) -> Vec<&'static str> {
@@ -324,7 +322,7 @@ fn workspace_r8_catches_deleted_catalog_rows_and_renamed_registrations() {
             .join("\n"),
         readme: docs.readme.clone(),
     };
-    let report = analyze_sources(files.clone(), &gutted, &Pool::sequential());
+    let report = analyze_sources(&files, &gutted);
     assert!(!report.is_clean());
     assert!(report
         .violations
@@ -337,7 +335,7 @@ fn workspace_r8_catches_deleted_catalog_rows_and_renamed_registrations() {
     renamed[file_idx].1 = renamed[file_idx]
         .1
         .replace(&format!("\"{name}\""), &format!("\"{name}_zzz\""));
-    let report = analyze_sources(renamed, &docs, &Pool::sequential());
+    let report = analyze_sources(&renamed, &docs);
     assert!(report
         .violations
         .iter()
@@ -357,7 +355,7 @@ fn workspace_r9_catches_readme_and_table_drift() {
         design: docs.design.clone(),
         readme: docs.readme.replace("`busy`", "`internal`"),
     };
-    let report = analyze_sources(files.clone(), &gutted, &Pool::sequential());
+    let report = analyze_sources(&files, &gutted);
     assert!(report
         .violations
         .iter()
@@ -371,7 +369,7 @@ fn workspace_r9_catches_readme_and_table_drift() {
         .find(|(rel, _)| rel == PROTOCOL_FILE)
         .expect("protocol file");
     proto.1 = proto.1.replace("\"QUIT\"", "\"QUIT-X\"");
-    let report = analyze_sources(renamed, &docs, &Pool::sequential());
+    let report = analyze_sources(&renamed, &docs);
     assert!(report
         .violations
         .iter()
@@ -383,19 +381,6 @@ fn workspace_r9_catches_readme_and_table_drift() {
 }
 
 // --- pipeline infrastructure ------------------------------------------------
-
-#[test]
-fn parallel_and_sequential_scans_are_byte_identical() {
-    let (files, docs) = workspace();
-    let seq = analyze_sources(files.clone(), &docs, &Pool::sequential());
-    let par = analyze_sources(files, &docs, &Pool::new(4));
-    assert_eq!(render_text(&seq), render_text(&par));
-    assert!(
-        seq.is_clean(),
-        "workspace must be clean:\n{}",
-        render_text(&seq)
-    );
-}
 
 #[test]
 fn github_emitter_renders_one_annotation_per_finding() {
@@ -442,30 +427,5 @@ fn fix_deletes_stale_waivers_and_is_idempotent() {
     assert!(clean.is_clean());
     assert_eq!(fix_stale_waivers(&dir, &clean).unwrap(), 0);
     assert_eq!(std::fs::read_to_string(&file).unwrap(), after);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cache_round_trips_and_invalidates_on_content_change() {
-    let files = vec![(
-        "crates/core/src/a.rs".to_string(),
-        "fn ok() { go(); }\n".to_string(),
-    )];
-    let docs = Docs::default();
-    let key = cache::workspace_key(&files, &docs);
-    let report = analyze_sources(files.clone(), &docs, &Pool::sequential());
-
-    let dir = tmpdir("cache");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("analyze.cache");
-    cache::store(&path, key, &report).unwrap();
-    let hit = cache::load(&path, key).expect("cache hit on unchanged inputs");
-    assert_eq!(render_text(&hit), render_text(&report));
-
-    let mut touched = files.clone();
-    touched[0].1.push_str("// comment\n");
-    let key2 = cache::workspace_key(&touched, &docs);
-    assert_ne!(key, key2, "content change must change the key");
-    assert!(cache::load(&path, key2).is_none(), "stale cache must miss");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,14 +27,18 @@
 //! durability.
 
 use crate::protocol::{ErrCode, Reply, VERBS};
-use jigsaw_core::defrag::{plan_migrations, DefragConfig, MigrationPlan};
-use jigsaw_core::{audit_system, Allocation, Allocator, Decision, JobRequest};
+use jigsaw_core::defrag::{self, plan_migrations, DefragConfig, MigrationPlan};
+use jigsaw_core::{Allocation, Allocator, Decision, JobRequest};
 use jigsaw_obs::{Counter, Histogram, Registry};
 use jigsaw_persist::{PersistError, PersistentState, SyncPolicy};
 use jigsaw_routing::RoutingTables;
 use jigsaw_topology::ids::JobId;
 use jigsaw_topology::{FatTree, SystemState};
 use std::io::{BufRead, Write};
+
+/// Cost charged per node a `DEFRAG` migrates (checkpoint + restore +
+/// requeue), in the unit `OK DEFRAG ... cost=` and `STATS` report.
+const MIGRATION_COST_PER_NODE: f64 = 1.0;
 
 /// What the transport should do after a reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,10 +117,6 @@ pub struct Engine {
     persist: PersistentState,
     registry: Registry,
     obs: ServeObs,
-    /// Planning bounds for the `DEFRAG` verb.
-    defrag_cfg: DefragConfig,
-    /// Cost charged per migrated node (checkpoint + restore + requeue).
-    migration_cost_per_node: f64,
     /// Live jobs migrated by `DEFRAG` over the daemon's lifetime.
     migrations: u64,
     /// Accumulated migration cost over the daemon's lifetime.
@@ -153,22 +153,9 @@ impl Engine {
             persist,
             registry: registry.clone(),
             obs: ServeObs::new(registry),
-            defrag_cfg: DefragConfig::default(),
-            migration_cost_per_node: 1.0,
             migrations: 0,
             migration_cost: 0.0,
         }
-    }
-
-    /// Override the `DEFRAG` planning bounds (default:
-    /// [`DefragConfig::default`]).
-    pub fn set_defrag_config(&mut self, cfg: DefragConfig) {
-        self.defrag_cfg = cfg;
-    }
-
-    /// Override the per-node migration cost (default 1.0).
-    pub fn set_migration_cost_per_node(&mut self, cost: f64) {
-        self.migration_cost_per_node = cost;
     }
 
     /// The scheduling scheme's display name.
@@ -337,11 +324,12 @@ impl Engine {
     }
 
     /// `DEFRAG <id> <size>`: like `ALLOC`, but when Algorithm 1 rejects on
-    /// fragmentation, compute a bounded [`MigrationPlan`] over the live set
-    /// and apply it move by move — each move journaled write-ahead through
-    /// [`PersistentState::commit_migrate`] before the state changes, and
-    /// the whole schedule re-audited after every move. Only live jobs
-    /// migrate; advance reservations hold their exact placements.
+    /// fragmentation, compute a bounded [`MigrationPlan`] over the live
+    /// jobs and apply it move by move — each move journaled write-ahead
+    /// through [`PersistentState::commit_migrate`] before
+    /// [`defrag::apply_move`] changes the state and re-audits it. Only
+    /// live jobs migrate: advance reservations are planned around as
+    /// pinned allocations and hold their exact placements.
     fn defrag(&mut self, id: u32, size: u32) -> Reply {
         if self.is_tracked(id) {
             return Reply::err(ErrCode::Exists, format!("job {id} already tracked"));
@@ -362,17 +350,21 @@ impl Engine {
             },
             Decision::Reconfigure(plan) => self.apply_migration_plan(id, &plan),
             Decision::Reject(reject) if reject.is_fragmentation() => {
-                // Plan over every claimed allocation so the scratch audit
-                // balances; whether each move is *applicable* (live, not
-                // reserved) is checked during application.
-                let claimed = self.persist.claimed_allocations();
+                let live = self.persist.live_allocations();
+                let pinned: Vec<Allocation> = self
+                    .persist
+                    .reserved()
+                    .values()
+                    .map(|r| r.alloc.clone())
+                    .collect();
                 match plan_migrations(
                     &*self.allocator,
                     self.persist.state(),
-                    &claimed,
+                    &live,
+                    &pinned,
                     &req,
                     reject,
-                    &self.defrag_cfg,
+                    &DefragConfig::default(),
                 ) {
                     Some(plan) => self.apply_migration_plan(id, &plan),
                     None => Reply::err(
@@ -385,42 +377,43 @@ impl Engine {
         }
     }
 
-    /// Execute a migration plan against the durable state: journal each
-    /// move first, swap the state, re-audit, then grant the triggering job
+    /// Execute a migration plan against the durable state: refuse it
+    /// unless every move starts from a live job's current placement, then
+    /// journal each move before applying it, and grant the triggering job
     /// on its proven placement.
     fn apply_migration_plan(&mut self, id: u32, plan: &MigrationPlan) -> Reply {
+        if let Some(m) = plan
+            .moves
+            .iter()
+            .find(|m| self.persist.live().get(&m.job.0) != Some(&m.from))
+        {
+            return Reply::err(
+                ErrCode::Denied,
+                format!(
+                    "job {id}: plan would move job {} which is not live",
+                    m.job.0
+                ),
+            );
+        }
+        let mut claimed = self.persist.claimed_allocations();
         for m in &plan.moves {
-            if !self.persist.live().contains_key(&m.job.0) {
-                return Reply::err(
-                    ErrCode::Denied,
-                    format!(
-                        "job {id}: plan would move job {} which is not live",
-                        m.job.0
-                    ),
-                );
-            }
             if let Err(e) = self.persist.commit_migrate(&m.from, &m.to) {
                 return Reply::err(ErrCode::Journal, e.to_string());
             }
-            self.allocator.release(self.persist.state_mut(), &m.from);
-            self.allocator.adopt(self.persist.state_mut(), &m.to);
-            let errors = audit_system(self.persist.state(), &self.persist.claimed_allocations());
-            if !errors.is_empty() {
-                return Reply::err(
-                    ErrCode::Internal,
-                    format!(
-                        "audit failed after migrating job {} ({} finding(s))",
-                        m.job.0,
-                        errors.len()
-                    ),
-                );
+            if let Err(e) = defrag::apply_move(
+                &mut *self.allocator,
+                self.persist.state_mut(),
+                &mut claimed,
+                m,
+            ) {
+                return Reply::err(ErrCode::Internal, e.to_string());
             }
         }
         self.allocator.adopt(self.persist.state_mut(), &plan.admits);
         match self.persist.commit_grant(&plan.admits) {
             Ok(()) => {
                 self.migrations += plan.moves.len() as u64;
-                let cost = plan.cost(self.migration_cost_per_node);
+                let cost = plan.cost(MIGRATION_COST_PER_NODE);
                 self.migration_cost += cost;
                 Reply::Defragged {
                     id,
@@ -1099,6 +1092,55 @@ mod tests {
         let stats = &replies[26];
         assert!(stats.contains(&format!("migrations={moved}")), "{stats}");
         assert!(stats.contains("jobs=9"), "{stats}"); // 8 pins + job 100
+    }
+
+    /// The machine of [`fragment_script`] with the jobs in `pins` placed
+    /// as advance reservations instead of live jobs: the odd ids stay
+    /// claimed, so each leaf keeps one busy node either way.
+    fn fragmented_with_reservations(pins: &[u32]) -> Engine {
+        let tree = tree();
+        let mut engine = Engine::new(
+            tree,
+            Scheme::Jigsaw.make(&tree),
+            PersistentState::ephemeral(tree),
+            &Registry::disabled(),
+        );
+        let mut script: Vec<String> = (0..16)
+            .map(|id| match pins.contains(&id) {
+                true => format!("RESERVE {id} 1 1000"),
+                false => format!("ALLOC {id} 1"),
+            })
+            .collect();
+        script.extend((0..16).step_by(2).map(|id| format!("FREE {id}")));
+        for line in &script {
+            let reply = engine.handle_line(line).unwrap().reply.to_string();
+            assert!(reply.starts_with("OK "), "{line}: {reply}");
+        }
+        engine
+    }
+
+    /// `DEFRAG` plans around reservations: it moves live jobs only and
+    /// leaves every reservation on its placement.
+    fn assert_defrag_keeps_reservations(pins: &[u32]) {
+        let mut engine = fragmented_with_reservations(pins);
+        let before = engine.persist().reserved().clone();
+        let reply = engine
+            .handle_line("DEFRAG 100 6")
+            .unwrap()
+            .reply
+            .to_string();
+        assert!(reply.starts_with("OK DEFRAG 100 moved=3 "), "{reply}");
+        assert_eq!(engine.persist().reserved(), &before);
+    }
+
+    #[test]
+    fn defrag_moves_live_jobs_around_one_reservation() {
+        assert_defrag_keeps_reservations(&[1]);
+    }
+
+    #[test]
+    fn defrag_moves_live_jobs_around_two_reservations() {
+        assert_defrag_keeps_reservations(&[5, 7]);
     }
 
     #[test]

@@ -73,7 +73,9 @@
 //! # Shutdown
 //!
 //! The `SHUTDOWN` verb (from any client) drains gracefully: the acceptor
-//! stops, every connection's read side is closed, requests already queued
+//! stops (it blocks in `accept`, so the command loop raises the stop flag
+//! and then wakes it with one connection to the listener's own address),
+//! every connection's read side is closed, requests already queued
 //! are handled and flushed, a final snapshot is written, and the process
 //! exits 0. An abrupt kill (SIGKILL mid-load) is the *other* supported
 //! exit: the journal guarantees every acknowledged request survives into
@@ -86,7 +88,7 @@ use crate::protocol::{ErrCode, Reply};
 use jigsaw_obs::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
@@ -211,9 +213,6 @@ impl Server {
     pub fn start(engine: Engine, config: &ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
-        // Polled non-blocking accept: lets the acceptor observe the stop
-        // flag without a self-connect trick or platform signal handling.
-        listener.set_nonblocking(true)?;
 
         let obs = NetObs::new(engine.registry());
         let accept_obs = (obs.connections.clone(), obs.open.clone(), obs.busy.clone());
@@ -247,7 +246,9 @@ impl Server {
             let max_batch = config.max_batch.max(1);
             std::thread::Builder::new()
                 .name("jigsaw-net-command".to_string())
-                .spawn(move || command_loop(engine, &rx, &stop, &open_count, max_batch, &obs))?
+                .spawn(move || {
+                    command_loop(engine, &rx, &stop, addr, &open_count, max_batch, &obs)
+                })?
         };
 
         Ok(ServerHandle {
@@ -256,6 +257,23 @@ impl Server {
             acceptor,
         })
     }
+}
+
+/// Raise the stop flag and wake the acceptor, which is blocked in
+/// `accept` on `listen`: one connection to the listener's own port (on
+/// loopback when it is bound to the unspecified address) makes `accept`
+/// return, and the acceptor exits once it sees the flag.
+fn stop_acceptor(stop: &AtomicBool, listen: SocketAddr) {
+    stop.store(true, Ordering::Release);
+    let mut wake = listen;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    // A failed connect means the acceptor is already gone.
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
 }
 
 /// Accept connections until the stop flag is raised; enforce the
@@ -270,19 +288,11 @@ fn accept_loop(
     (connections, open, busy): (Counter, Gauge, Counter),
 ) {
     let mut next_id: u64 = 0;
-    while !stop.load(Ordering::Acquire) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(_) => break,
-        };
-        // The listener is non-blocking; the accepted stream must not be.
-        if stream.set_nonblocking(false).is_err() {
-            continue;
+    for stream in listener.incoming() {
+        if stop.load(Ordering::Acquire) {
+            break; // the wake-up connection from `stop_acceptor`, or a late client
         }
+        let Ok(stream) = stream else { break };
         // Replies are small and latency-bound: never Nagle them (the
         // delayed-ACK interaction costs tens of milliseconds per reply).
         let _ = stream.set_nodelay(true);
@@ -406,6 +416,7 @@ fn command_loop(
     mut engine: Engine,
     rx: &Receiver<ConnEvent>,
     stop: &AtomicBool,
+    listen: SocketAddr,
     open_count: &Arc<AtomicUsize>,
     max_batch: usize,
     obs: &NetObs,
@@ -490,7 +501,7 @@ fn command_loop(
             for conn in conns.values() {
                 let _ = conn.stream.shutdown(Shutdown::Both);
             }
-            stop.store(true, Ordering::Release);
+            stop_acceptor(stop, listen);
             return 1;
         }
 
@@ -522,7 +533,7 @@ fn command_loop(
 
         if begin_shutdown && !shutting_down {
             shutting_down = true;
-            stop.store(true, Ordering::Release);
+            stop_acceptor(stop, listen);
             // Close every read side: readers see EOF, send `Closed`, and
             // drop their channel senders. Already-queued requests still
             // drain through the loop; once the last sender is gone,
@@ -594,7 +605,12 @@ mod tests {
         }
         drop(tx);
         let open = Arc::new(AtomicUsize::new(0));
-        let code = command_loop(engine, &rx, &AtomicBool::new(false), &open, n, &obs);
+        // No acceptor runs here; a shutdown's wake-up lands in this
+        // listener's backlog.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let listen = listener.local_addr().unwrap();
+        let stop = AtomicBool::new(false);
+        let code = command_loop(engine, &rx, &stop, listen, &open, n, &obs);
         (code, batches)
     }
 

@@ -8,7 +8,7 @@
 //! partition's nodes routes with at most one flow per directed link,
 //! confined to the partition's own links.
 
-use jigsaw_core::defrag::{plan_migrations, DefragConfig, PlanScheme};
+use jigsaw_core::defrag::{apply_plan, plan_migrations, DefragConfig, PlanScheme};
 use jigsaw_core::{Allocation, Allocator, JobRequest, Scheme};
 use jigsaw_routing::permutation::reversal_permutation;
 use jigsaw_routing::route_permutation;
@@ -99,12 +99,12 @@ fn migrated_partitions_stay_rearrangeable_non_blocking() {
                     scheme,
                     ..DefragConfig::default()
                 };
-                let Some(plan) = plan_migrations(alloc.as_ref(), &state, &live, &req, reject, &cfg)
+                let Some(plan) =
+                    plan_migrations(alloc.as_ref(), &state, &live, &[], &req, reject, &cfg)
                 else {
                     continue;
                 };
-                let admitted = alloc
-                    .apply_plan(&mut state, &mut live, &plan)
+                let admitted = apply_plan(alloc.as_mut(), &mut state, &mut live, &plan)
                     .expect("plan applies to the state it was planned on");
                 plans_applied += 1;
 

@@ -40,8 +40,8 @@
 use crate::event::{EventKind, EventQueue};
 use crate::metrics::{mean, InstUtilHistogram, JobRecord};
 use crate::scenario::Scenario;
-use jigsaw_core::defrag::{plan_migrations, DefragConfig, MigrationPlan};
-use jigsaw_core::{audit_system, Allocation, Allocator, JobRequest, Reject, Scheme};
+use jigsaw_core::defrag::{self, plan_migrations, DefragConfig, MigrationPlan};
+use jigsaw_core::{Allocation, Allocator, JobRequest, Reject, Scheme};
 use jigsaw_obs::{Counter, EventKind as ObsEventKind, Histogram, Registry};
 use jigsaw_topology::cast::count_u32;
 use jigsaw_topology::ids::{JobId, NodeId};
@@ -961,6 +961,7 @@ impl<'a> Sim<'a> {
             self.allocator.as_ref(),
             &self.state,
             &live,
+            &[],
             req,
             blocking,
             &cfg,
@@ -990,40 +991,37 @@ impl<'a> Sim<'a> {
                 return HeadAttempt::Gated;
             }
         }
-        self.apply_migration_plan(&plan, t);
-        let admits = plan.admits;
-        self.allocator.adopt(&mut self.state, &admits);
+        let admits = self.apply_migration_plan(live, &plan, t);
         self.start_job(idx, admits, t);
         HeadAttempt::Started
     }
 
-    /// Apply every move of `plan` to the live simulation: release the old
-    /// placement, adopt the new one, slip the migrated job's completion by
-    /// the configured per-node cost, and re-audit the whole system after
-    /// each move (a plan that breaks interference-freedom mid-flight is a
-    /// planner bug, not a recoverable condition). The audited allocation
-    /// set is built once and follows each move in place.
-    fn apply_migration_plan(&mut self, plan: &MigrationPlan, t: f64) {
+    /// Execute `plan` on the live machine through [`defrag::apply_plan`]
+    /// (`claimed` is the running set it was planned over) and return the
+    /// admitted placement, already claimed. Each migrated job's
+    /// completion then slips by the configured per-node cost.
+    fn apply_migration_plan(
+        &mut self,
+        mut claimed: Vec<Allocation>,
+        plan: &MigrationPlan,
+        t: f64,
+    ) -> Allocation {
+        let admits =
+            defrag::apply_plan(self.allocator.as_mut(), &mut self.state, &mut claimed, plan)
+                // jigsaw-lint: allow(R1) -- the plan was computed synchronously against this exact running set and audited on a scratch clone; a failure here is a planner bug
+                .expect("a fresh migration plan applies to the state it was planned on");
         let by_id: HashMap<u32, u32> = self
             .running
             .iter()
             .map(|(&i, r)| (r.alloc.job.0, i))
             .collect();
-        let mut claimed: Vec<Allocation> = self.running.values().map(|r| r.alloc.clone()).collect();
         let cost = self.config.migration_cost_per_node;
         for m in &plan.moves {
             let idx = *by_id
                 .get(&m.job.0)
-                // jigsaw-lint: allow(R1) -- the plan was computed synchronously against this exact running set; a missing job means the planner returned a stale move
+                // jigsaw-lint: allow(R1) -- apply_plan just found this move's `from` among the running allocations
                 .expect("migration plan moves a running job");
             let i = idx as usize;
-            assert_eq!(
-                self.running[&idx].alloc, m.from,
-                "migration plan is stale: job {} moved since planning",
-                m.job.0
-            );
-            self.allocator.release(&mut self.state, &m.from);
-            self.allocator.adopt(&mut self.state, &m.to);
             // The migration penalty: the job checkpoints, drains, and
             // restores, so its completion (real and estimated) slips.
             // Bumping the epoch invalidates the already-queued completion
@@ -1033,7 +1031,7 @@ impl<'a> Sim<'a> {
             let run = self
                 .running
                 .get_mut(&idx)
-                // jigsaw-lint: allow(R1) -- presence was just asserted above
+                // jigsaw-lint: allow(R1) -- `by_id` was built from `running` just above
                 .expect("running entry for a planned move");
             run.alloc = m.to.clone();
             run.end = (run.end + penalty).max(t);
@@ -1049,18 +1047,8 @@ impl<'a> Sim<'a> {
             );
             self.migrations += 1;
             self.migration_cost += penalty;
-            // Post-move audit: state and allocation set must stay
-            // mutually consistent and interference-free after every step.
-            if let Some(slot) = claimed.iter_mut().find(|a| a.job == m.job) {
-                *slot = m.to.clone();
-            }
-            let issues = audit_system(&self.state, &claimed);
-            assert!(
-                issues.is_empty(),
-                "defrag move of job {} broke a system invariant: {issues:?}",
-                m.job.0
-            );
         }
+        admits
     }
 
     /// Drop `root` as unschedulable, cascading to every DAG descendant:
