@@ -1106,9 +1106,12 @@ mod tests {
             &Registry::disabled(),
         );
         let mut script: Vec<String> = (0..16)
-            .map(|id| match pins.contains(&id) {
-                true => format!("RESERVE {id} 1 1000"),
-                false => format!("ALLOC {id} 1"),
+            .map(|id| {
+                if pins.contains(&id) {
+                    format!("RESERVE {id} 1 1000")
+                } else {
+                    format!("ALLOC {id} 1")
+                }
             })
             .collect();
         script.extend((0..16).step_by(2).map(|id| format!("FREE {id}")));
