@@ -93,6 +93,17 @@ pub trait Allocator: Send {
     ///
     /// On `Admit` the resources are already claimed in `state` — dropping
     /// the returned [`Allocation`] leaks them, hence `#[must_use]`.
+    ///
+    /// # Contract
+    ///
+    /// The outcome (reject, or the admitted nodes and links) depends only
+    /// on the allocator's bookkeeping, `state`, `req.size` and
+    /// `req.bw_tenths`, never on `req.id`. A rejecting call leaves `state`
+    /// unchanged, and an admission followed by [`Allocator::release`]
+    /// restores it exactly. The simulator's EASY pass reuses probe
+    /// outcomes across candidates and passes on the strength of this
+    /// (DESIGN §13 "Epoch memo"); `crates/core/tests/allocator_contract.rs`
+    /// checks it for every scheme.
     #[must_use = "an admitted grant has already claimed nodes and links; dropping the decision leaks them"]
     fn decide(&mut self, state: &mut SystemState, req: &JobRequest) -> Decision;
 

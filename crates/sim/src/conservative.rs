@@ -23,11 +23,10 @@
 //! production sites run EASY (the other half is utilization; see the
 //! `backfill_policies` experiment).
 
-use crate::engine::Running;
+use crate::engine::RunningSet;
 use jigsaw_core::{Allocation, Allocator, JobRequest};
 use jigsaw_topology::ids::JobId;
 use jigsaw_topology::SystemState;
-use std::collections::HashMap;
 
 /// Result of a conservative planning sweep.
 pub(crate) struct ConservativePlan {
@@ -60,17 +59,15 @@ struct Reservation {
 pub(crate) fn plan(
     state: &SystemState,
     allocator: &dyn Allocator,
-    running: &HashMap<u32, Running>,
+    running: &RunningSet,
     fixed: &[FixedReservation],
     queue: &[(u32, u32, u16, f64)],
     now: f64,
     depth: usize,
 ) -> ConservativePlan {
     // The planner sees estimated completion times, like a real scheduler.
-    let mut completions: Vec<(f64, &Allocation)> = running
-        .values()
-        .map(|r| (r.estimated_end, &r.alloc))
-        .collect();
+    let mut completions: Vec<(f64, &Allocation)> =
+        running.iter().map(|(r, a)| (r.estimated_end, a)).collect();
     completions.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     // Advance reservations are planned first, before any queued job, so
@@ -149,8 +146,23 @@ pub(crate) fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Running;
     use jigsaw_core::Scheme;
     use jigsaw_topology::FatTree;
+
+    /// One running job (trace index 0) on `alloc`, ending at t=100.
+    fn running_until_100(alloc: Allocation) -> RunningSet {
+        let mut running = RunningSet::new(1);
+        running.insert(
+            Running {
+                idx: 0,
+                end: 100.0,
+                estimated_end: 100.0,
+            },
+            alloc,
+        );
+        running
+    }
 
     fn setup() -> (SystemState, Box<dyn Allocator>) {
         let tree = FatTree::maximal(4).unwrap(); // 16 nodes
@@ -168,7 +180,7 @@ mod tests {
         let plan = plan(
             &state,
             alloc.as_ref(),
-            &HashMap::new(),
+            &RunningSet::new(0),
             &[],
             &queue,
             0.0,
@@ -185,15 +197,7 @@ mod tests {
         let running_alloc = alloc
             .try_admit(&mut state, &JobRequest::new(JobId(99), 12))
             .unwrap();
-        let mut running = HashMap::new();
-        running.insert(
-            99u32,
-            Running {
-                alloc: running_alloc,
-                end: 100.0,
-                estimated_end: 100.0,
-            },
-        );
+        let running = running_until_100(running_alloc);
         // Head wants 16 nodes: reserves [100, 110) over the whole machine.
         // A 4-node/200s filler would overlap that reservation — held back;
         // a 4-node/50s filler ends in time — starts now.
@@ -224,15 +228,7 @@ mod tests {
         let running_alloc = alloc
             .try_admit(&mut state, &JobRequest::new(JobId(99), 12))
             .unwrap();
-        let mut running = HashMap::new();
-        running.insert(
-            99u32,
-            Running {
-                alloc: running_alloc,
-                end: 100.0,
-                estimated_end: 100.0,
-            },
-        );
+        let running = running_until_100(running_alloc);
         let queue = vec![
             (0u32, 16u32, 10u16, 10.0),
             (1, 16, 10, 10.0),
@@ -246,7 +242,15 @@ mod tests {
     fn depth_limits_planning() {
         let (state, alloc) = setup();
         let queue = vec![(0u32, 16u32, 10u16, 10.0), (1, 1, 10, 1.0)];
-        let plan = plan(&state, alloc.as_ref(), &HashMap::new(), &[], &queue, 0.0, 1);
+        let plan = plan(
+            &state,
+            alloc.as_ref(),
+            &RunningSet::new(0),
+            &[],
+            &queue,
+            0.0,
+            1,
+        );
         assert_eq!(plan.start_now, vec![0]);
     }
 
@@ -269,7 +273,7 @@ mod tests {
         let plan = plan(
             &state,
             alloc.as_ref(),
-            &HashMap::new(),
+            &RunningSet::new(0),
             &fixed,
             &queue,
             0.0,
