@@ -248,6 +248,7 @@ fn measure(
                                 "an audited plan applies cleanly to the state it was planned on",
                             );
                         debug_assert_eq!(admitted.job, req.id);
+                        live.push(admitted);
                         arm.recovered += 1;
                     }
                 }

@@ -114,6 +114,7 @@ proptest! {
             prop_assert_eq!(admitted.job, req.id);
             prop_assert_eq!(admitted.nodes.len() as u32, probe_size);
             prop_assert_eq!(state.allocated_node_count(), before + probe_size);
+            live.push(admitted);
 
             state.assert_consistent();
             prop_assert!(audit_system(&state, &live).is_empty());

@@ -120,6 +120,7 @@ fn migrated_partitions_stay_rearrangeable_non_blocking() {
                     assert_eq!(current, &m.to, "live set tracks the plan's placements");
                     assert_interference_free(&tree, current);
                 }
+                live.push(admitted);
             }
         }
     }
