@@ -131,31 +131,34 @@ impl AllocatorObs {
             Decision::Admit(alloc) => {
                 self.grants.inc();
                 self.nodes_in_use.add(alloc.nodes.len() as i64);
-                self.registry
-                    .event(EventKind::JobStart, Some(req.id.0), || {
-                        format!("size={} granted={}", req.size, alloc.nodes.len())
-                    });
+                self.registry.event(
+                    EventKind::JobStart,
+                    Some(req.id.0),
+                    format_args!("size={} granted={}", req.size, alloc.nodes.len()),
+                );
             }
             Decision::Reject(reject) => {
                 if let Some(c) = self.rejects.get(reject.kind_index()) {
                     c.inc();
                 }
-                self.registry
-                    .event(EventKind::Rejection, Some(req.id.0), || {
-                        format!("size={} reason={reject}", req.size)
-                    });
+                self.registry.event(
+                    EventKind::Rejection,
+                    Some(req.id.0),
+                    format_args!("size={} reason={reject}", req.size),
+                );
             }
             Decision::Reconfigure(plan) => {
                 self.reconfigures.inc();
-                self.registry
-                    .event(EventKind::Reconfigure, Some(req.id.0), || {
-                        format!(
-                            "size={} moves={} nodes_moved={}",
-                            req.size,
-                            plan.moves.len(),
-                            plan.nodes_moved()
-                        )
-                    });
+                self.registry.event(
+                    EventKind::Reconfigure,
+                    Some(req.id.0),
+                    format_args!(
+                        "size={} moves={} nodes_moved={}",
+                        req.size,
+                        plan.moves.len(),
+                        plan.nodes_moved()
+                    ),
+                );
             }
         }
     }
@@ -229,11 +232,11 @@ impl Allocator for ObservedAllocator {
         self.obs.release_ns.observe_since(t0);
         self.obs.releases.inc();
         self.obs.nodes_in_use.sub(alloc.nodes.len() as i64);
-        self.obs
-            .registry
-            .event(EventKind::JobComplete, Some(alloc.job.0), || {
-                format!("released={}", alloc.nodes.len())
-            });
+        self.obs.registry.event(
+            EventKind::JobComplete,
+            Some(alloc.job.0),
+            format_args!("released={}", alloc.nodes.len()),
+        );
     }
 
     fn adopt(&mut self, state: &mut SystemState, alloc: &Allocation) {

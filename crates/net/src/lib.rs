@@ -55,7 +55,7 @@ pub mod protocol;
 pub mod server;
 
 pub use engine::{serve_stream, Control, Engine, Outcome};
-pub use frame::{Framed, LineFramer, DEFAULT_MAX_LINE_LEN};
+pub use frame::{Framed, LineFramer, Violation, DEFAULT_MAX_LINE_LEN};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
-pub use protocol::{ErrCode, Reply, Verb, VERBS};
+pub use protocol::{parse, Cmd, ErrCode, IdList, ParseError, Reply, Request, Verb, VERBS};
 pub use server::{Server, ServerConfig, ServerHandle, DEFAULT_MAX_BATCH, DEFAULT_MAX_CONNS};

@@ -24,7 +24,7 @@
 //! saturation, `FREE` of a denied alloc), not an artifact of the
 //! generator.
 
-use crate::protocol::ErrCode;
+use crate::protocol::{ErrCode, Request};
 use jigsaw_obs::{Histogram, Registry};
 use jigsaw_par::Pool;
 use rand::rngs::StdRng;
@@ -287,14 +287,13 @@ fn run_conn(
                     std::thread::sleep(due - now);
                 }
             }
-            let mut line = next_request(&mut rng, &mut live, &mut next_job, config);
-            let alloc_id = line
-                .strip_prefix("ALLOC ")
-                .and_then(|rest| rest.split_whitespace().next())
-                .and_then(|id| id.parse::<u32>().ok());
+            let req = next_request(&mut rng, &mut live, &mut next_job, config);
+            let alloc_id = match req {
+                Request::Alloc { id, .. } => Some(id),
+                _ => None,
+            };
             // The request and its newline leave in one write.
-            line.push('\n');
-            stream.write_all(line.as_bytes())?;
+            stream.write_all(format!("{req}\n").as_bytes())?;
             pending.push_back((Instant::now(), alloc_id));
             submitted += 1;
             tally.sent += 1;
@@ -352,20 +351,20 @@ fn next_request(
     live: &mut Vec<u32>,
     next_job: &mut u32,
     config: &LoadgenConfig,
-) -> String {
+) -> Request<'static> {
     if rng.random_bool(config.status_ratio) {
-        return "STATUS".to_string();
+        return Request::Status;
     }
     if live.is_empty() || rng.random_bool(config.alloc_bias) {
         let id = *next_job;
         *next_job = next_job.saturating_add(1);
         let size = rng.random_range(1..=config.max_job_size.max(1));
         live.push(id);
-        format!("ALLOC {id} {size}")
+        Request::Alloc { id, size }
     } else {
         let slot = rng.random_range(0..live.len());
         let id = live.swap_remove(slot);
-        format!("FREE {id}")
+        Request::Free { id }
     }
 }
 
@@ -433,18 +432,14 @@ mod tests {
         };
         assert_eq!(draw(7), draw(7), "same seed, same stream");
         assert_ne!(draw(7), draw(8), "different seeds diverge");
-        for line in draw(7) {
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            match fields.as_slice() {
-                ["STATUS"] => {}
-                ["ALLOC", id, size] => {
-                    let id: u32 = id.parse().unwrap();
+        for req in draw(7) {
+            // The encoded line reads back as the same request.
+            assert_eq!(crate::protocol::parse(&req.to_string()), Ok(req));
+            match req {
+                Request::Status | Request::Free { .. } => {}
+                Request::Alloc { id, size } => {
                     assert!(id > JOB_ID_STRIDE, "ids live in the connection's band");
-                    let size: u32 = size.parse().unwrap();
                     assert!((1..=4).contains(&size));
-                }
-                ["FREE", id] => {
-                    let _: u32 = id.parse().unwrap();
                 }
                 other => panic!("unexpected request {other:?}"),
             }
@@ -463,18 +458,13 @@ mod tests {
         let mut next_job = 1;
         let mut allocated = std::collections::HashSet::new();
         for _ in 0..500 {
-            let line = next_request(&mut rng, &mut live, &mut next_job, &config);
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            match fields.as_slice() {
-                ["ALLOC", id, _] => {
-                    assert!(
-                        allocated.insert(id.parse::<u32>().unwrap()),
-                        "ids never reused"
-                    );
+            match next_request(&mut rng, &mut live, &mut next_job, &config) {
+                Request::Alloc { id, .. } => {
+                    assert!(allocated.insert(id), "ids never reused");
                 }
-                ["FREE", id] => {
+                Request::Free { id } => {
                     assert!(
-                        allocated.contains(&id.parse::<u32>().unwrap()),
+                        allocated.contains(&id),
                         "FREE only targets ids the generator allocated"
                     );
                 }

@@ -52,8 +52,7 @@ fn replies_for(lines: &[String]) -> Vec<String> {
     let mut engine = Engine::new(tree, allocator, persist, &registry);
     lines
         .iter()
-        .filter_map(|line| engine.handle_line(line))
-        .map(|outcome| outcome.reply.to_string())
+        .filter_map(|line| Some(engine.handle_line(line)?.reply.to_string()))
         .collect()
 }
 

@@ -30,7 +30,7 @@
 //! let t0 = latency.start();
 //! grants.inc();
 //! latency.observe_since(t0);
-//! reg.event(EventKind::JobStart, Some(7), || "size=4".to_string());
+//! reg.event(EventKind::JobStart, Some(7), format_args!("size={}", 4));
 //! let text = reg.render_prometheus();
 //! assert!(text.contains("grants_total{scheme=\"Jigsaw\"} 1"));
 //! assert!(reg.render_json().contains("\"job_start\""));
@@ -47,6 +47,7 @@ pub use metrics::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, B
 pub use ring::{Event, EventKind, EventRing, DEFAULT_RING_CAPACITY};
 
 use metrics::HistogramCore;
+use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64};
 use std::sync::{Arc, Mutex};
 
@@ -241,11 +242,13 @@ impl Registry {
         ))
     }
 
-    /// Record a discrete event. The `detail` closure runs only when the
-    /// registry is enabled, so disabled call sites never format strings.
-    pub fn event(&self, kind: EventKind, job: Option<u32>, detail: impl FnOnce() -> String) {
+    /// Record a discrete event. `detail` (a `format_args!`) is formatted
+    /// only when the registry is enabled, and then into the buffer of the
+    /// event the ring evicts, so a full ring records without allocating
+    /// and a disabled registry never formats at all.
+    pub fn event(&self, kind: EventKind, job: Option<u32>, detail: fmt::Arguments<'_>) {
         if let Some(inner) = &self.inner {
-            lock(&inner.ring).push(kind, job, detail());
+            lock(&inner.ring).push(kind, job, detail);
         }
     }
 
@@ -356,9 +359,9 @@ mod tests {
     fn json_exposition_shape() {
         let reg = Registry::with_ring_capacity(2);
         reg.counter("a_total", "A.").inc();
-        reg.event(EventKind::JobArrival, Some(1), || "size=4".into());
-        reg.event(EventKind::JobStart, Some(1), String::new);
-        reg.event(EventKind::JobComplete, Some(1), String::new);
+        reg.event(EventKind::JobArrival, Some(1), format_args!("size=4"));
+        reg.event(EventKind::JobStart, Some(1), format_args!(""));
+        reg.event(EventKind::JobComplete, Some(1), format_args!(""));
         let json = reg.render_json();
         assert!(json.contains("\"name\":\"a_total\""));
         assert!(json.contains("\"type\":\"counter\",\"value\":1"));
@@ -366,6 +369,16 @@ mod tests {
         assert!(!json.contains("job_arrival"));
         assert!(json.contains("\"kind\":\"job_start\""));
         assert!(json.contains("\"events_dropped\":1"));
+    }
+
+    /// Notes when it is formatted.
+    struct Probe<'a>(&'a std::cell::Cell<bool>);
+
+    impl fmt::Display for Probe<'_> {
+        fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.set(true);
+            Ok(())
+        }
     }
 
     #[test]
@@ -377,17 +390,28 @@ mod tests {
         assert_eq!(c.get(), 0);
         let h = reg.histogram("h_ns", "H.");
         assert!(h.start().is_none());
-        let mut ran = false;
-        reg.event(EventKind::Snapshot, None, || {
-            ran = true;
-            String::new()
-        });
-        assert!(!ran, "detail closure must not run when disabled");
+        let formatted = std::cell::Cell::new(false);
+        let probe = Probe(&formatted);
+        reg.event(EventKind::Snapshot, None, format_args!("{probe}"));
+        assert!(
+            !formatted.get(),
+            "detail must not be formatted when disabled"
+        );
         assert_eq!(reg.render_prometheus(), "");
         assert_eq!(
             reg.render_json(),
             "{\"metrics\":[],\"events\":[],\"events_dropped\":0}"
         );
+    }
+
+    #[test]
+    fn enabled_events_format_their_detail() {
+        let reg = Registry::with_ring_capacity(2);
+        let formatted = std::cell::Cell::new(false);
+        let probe = Probe(&formatted);
+        reg.event(EventKind::Snapshot, None, format_args!("seq={}{probe}", 3));
+        assert!(formatted.get());
+        assert_eq!(reg.events()[0].detail, "seq=3");
     }
 
     #[test]

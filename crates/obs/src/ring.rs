@@ -7,6 +7,7 @@
 //! recording path.
 
 use std::collections::VecDeque;
+use std::fmt::{self, Write};
 
 /// Default ring capacity.
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
@@ -93,20 +94,28 @@ impl EventRing {
         }
     }
 
-    /// Append an event, evicting the oldest if full. Returns the sequence
-    /// number assigned.
-    pub fn push(&mut self, kind: EventKind, job: Option<u32>, detail: String) -> u64 {
+    /// Append an event, evicting the oldest if full: `detail` is formatted
+    /// into the evicted event's buffer, so a full ring records without
+    /// allocating once its buffers have grown to the details they carry.
+    /// Returns the sequence number assigned.
+    pub fn push(&mut self, kind: EventKind, job: Option<u32>, detail: fmt::Arguments<'_>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let mut text = String::new();
         if self.buf.len() == self.capacity {
-            self.buf.pop_front();
+            if let Some(evicted) = self.buf.pop_front() {
+                text = evicted.detail;
+                text.clear();
+            }
             self.dropped += 1;
         }
+        // Formatting into a `String` fails only if a `Display` impl does.
+        let _ = text.write_fmt(detail);
         self.buf.push_back(Event {
             seq,
             kind,
             job,
-            detail,
+            detail: text,
         });
         seq
     }
@@ -140,13 +149,15 @@ mod tests {
     fn ring_bounds_and_counts_drops() {
         let mut r = EventRing::new(3);
         for i in 0..5u32 {
-            r.push(EventKind::JobArrival, Some(i), String::new());
+            r.push(EventKind::JobArrival, Some(i), format_args!("job {i}"));
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 2);
         let seqs: Vec<u64> = r.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![3, 4, 5]);
         assert_eq!(r.events().next().unwrap().job, Some(2));
+        let details: Vec<&str> = r.events().map(|e| e.detail.as_str()).collect();
+        assert_eq!(details, ["job 2", "job 3", "job 4"]);
     }
 
     #[test]

@@ -480,10 +480,12 @@ impl PersistentState {
         self.pending.len()
     }
 
-    /// Make a grant durable and track it as live. The allocation must
-    /// already be claimed into [`state_mut`]. On journal failure nothing
-    /// is tracked and the caller must roll the claim back (through the
-    /// allocator that made it) before continuing.
+    /// Make a grant durable and track it as live, moving `alloc` into the
+    /// live set (the journal record is built, from a clone, only when a
+    /// journal is attached). The allocation must already be claimed into
+    /// [`state_mut`]. On journal failure nothing is tracked and the
+    /// allocation comes back with the error: the caller must roll the
+    /// claim back (through the allocator that made it) before continuing.
     ///
     /// # Panics
     /// If `alloc.job` is already live (caller bug — the daemon checks
@@ -491,21 +493,22 @@ impl PersistentState {
     ///
     /// [`state_mut`]: PersistentState::state_mut
     #[must_use = "an ignored commit error means the grant is not durable and must not be acted on"]
-    pub fn commit_grant(&mut self, alloc: &Allocation) -> Result<(), PersistError> {
+    pub fn commit_grant(
+        &mut self,
+        alloc: Allocation,
+    ) -> Result<(), (PersistError, Box<Allocation>)> {
+        let job = alloc.job.0;
+        assert!(!self.live.contains_key(&job), "job {job} granted twice");
         assert!(
-            !self.live.contains_key(&alloc.job.0),
-            "job {} granted twice",
-            alloc.job.0
+            !self.reserved.contains_key(&job),
+            "job {job} granted while reserved"
         );
-        assert!(
-            !self.reserved.contains_key(&alloc.job.0),
-            "job {} granted while reserved",
-            alloc.job.0
-        );
-        self.record(Event::Grant(alloc.clone()), Some(alloc.job.0))?;
+        if let Err(e) = self.record(|| Event::Grant(alloc.clone()), Some(job)) {
+            return Err((e, Box::new(alloc)));
+        }
         // A grant consumes the job's queue entry, if it was submitted.
-        self.queued.remove(&alloc.job.0);
-        self.live.insert(alloc.job.0, alloc.clone());
+        self.queued.remove(&job);
+        self.live.insert(job, alloc);
         Ok(())
     }
 
@@ -535,7 +538,7 @@ impl PersistentState {
             job.0
         );
         self.record(
-            Event::Submit {
+            || Event::Submit {
                 job,
                 size,
                 bw_tenths,
@@ -574,7 +577,7 @@ impl PersistentState {
             alloc.job.0
         );
         self.record(
-            Event::Reserve {
+            || Event::Reserve {
                 alloc: alloc.clone(),
                 start,
             },
@@ -624,7 +627,7 @@ impl PersistentState {
             from.job.0
         );
         self.record(
-            Event::Migrate {
+            || Event::Migrate {
                 from: from.clone(),
                 to: to.clone(),
             },
@@ -635,12 +638,18 @@ impl PersistentState {
     }
 
     /// Journal (or stage, under [`SyncPolicy::Group`]) one event and bump
-    /// the sequence counters. The shared tail of both commit paths.
-    fn record(&mut self, event: Event, job: Option<u32>) -> Result<(), PersistError> {
+    /// the sequence counters. The shared tail of every commit path.
+    /// `event` runs only when a journal is attached: an ephemeral session
+    /// builds no records.
+    fn record(
+        &mut self,
+        event: impl FnOnce() -> Event,
+        job: Option<u32>,
+    ) -> Result<(), PersistError> {
         if let Some(backend) = &mut self.backend {
             let record = Record {
                 seq: self.last_seq + 1,
-                event,
+                event: event(),
             };
             match self.sync_policy {
                 SyncPolicy::PerRecord => {
@@ -648,9 +657,11 @@ impl PersistentState {
                     backend.journal.append(&record)?;
                     self.obs.fsync_ns.observe_since(t0);
                     self.obs.batch_records.observe(1);
-                    self.obs.registry.event(EventKind::JournalFsync, job, || {
-                        format!("seq={}", record.seq)
-                    });
+                    self.obs.registry.event(
+                        EventKind::JournalFsync,
+                        job,
+                        format_args!("seq={}", record.seq),
+                    );
                 }
                 SyncPolicy::Group => self.pending.push(record),
             }
@@ -689,9 +700,11 @@ impl PersistentState {
         self.obs.fsync_ns.observe_since(t0);
         self.obs.batch_records.observe(n as u64);
         let last = self.last_seq;
-        self.obs.registry.event(EventKind::JournalFsync, None, || {
-            format!("group commit n={n} through seq={last}")
-        });
+        self.obs.registry.event(
+            EventKind::JournalFsync,
+            None,
+            format_args!("group commit n={n} through seq={last}"),
+        );
         self.pending.clear();
         Ok(n)
     }
@@ -708,15 +721,15 @@ impl PersistentState {
     #[must_use = "an ignored commit error means the release is not durable"]
     pub fn commit_release(&mut self, job: JobId) -> Result<Option<Allocation>, PersistError> {
         if self.live.contains_key(&job.0) {
-            self.record(Event::Release(job), Some(job.0))?;
+            self.record(|| Event::Release(job), Some(job.0))?;
             return Ok(self.live.remove(&job.0));
         }
         if self.reserved.contains_key(&job.0) {
-            self.record(Event::Release(job), Some(job.0))?;
+            self.record(|| Event::Release(job), Some(job.0))?;
             return Ok(self.reserved.remove(&job.0).map(|r| r.alloc));
         }
         if self.queued.contains_key(&job.0) {
-            self.record(Event::Release(job), Some(job.0))?;
+            self.record(|| Event::Release(job), Some(job.0))?;
             self.queued.remove(&job.0);
         }
         Ok(None)
@@ -755,9 +768,11 @@ impl PersistentState {
         backend.journal.append(&marker)?;
         self.last_seq += 1;
         self.events_since_snapshot = 0;
-        self.obs.registry.event(EventKind::Snapshot, None, || {
-            format!("covered_seq={covered}")
-        });
+        self.obs.registry.event(
+            EventKind::Snapshot,
+            None,
+            format_args!("covered_seq={covered}"),
+        );
         Ok(covered)
     }
 
@@ -1106,7 +1121,7 @@ mod tests {
         let a = alloc8r
             .try_admit(ps.state_mut(), &JobRequest::new(JobId(job), size))
             .expect("allocation must fit");
-        ps.commit_grant(&a).unwrap();
+        ps.commit_grant(a).unwrap();
     }
 
     /// Journal a release and apply it to the state, as the daemon does.

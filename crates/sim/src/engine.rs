@@ -759,11 +759,11 @@ impl<'a> Sim<'a> {
         let i = idx as usize;
         self.arrived[i] = true;
         let (id, size) = (self.trace.jobs[i].id, self.trace.jobs[i].size);
-        self.obs
-            .registry
-            .event(ObsEventKind::JobArrival, Some(id), || {
-                format!("size={size}")
-            });
+        self.obs.registry.event(
+            ObsEventKind::JobArrival,
+            Some(id),
+            format_args!("size={size}"),
+        );
         if self.dropped[i] {
             return; // an ancestor was dropped before this job arrived
         }
@@ -1323,11 +1323,11 @@ impl<'a> Sim<'a> {
                         self.start_job(idx, alloc, t);
                         self.sync_memo(head);
                         self.obs.backfill_hits.inc();
-                        self.obs
-                            .registry
-                            .event(ObsEventKind::Backfill, Some(id), || {
-                                format!("size={size} ahead_of_head")
-                            });
+                        self.obs.registry.event(
+                            ObsEventKind::Backfill,
+                            Some(id),
+                            format_args!("size={size} ahead_of_head"),
+                        );
                         self.queue.remove(i);
                         // Do not advance i: the next candidate shifted in.
                     } else {
