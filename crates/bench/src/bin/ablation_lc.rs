@@ -14,16 +14,14 @@
 //! cargo run --release -p jigsaw-bench --bin ablation_lc [--scale f]
 //! ```
 
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::{fan_out, or_exit, simulate, trace_by_name, HarnessArgs};
 use jigsaw_core::Scheme;
-use jigsaw_sim::{SimConfig, Simulation};
+use jigsaw_sim::SimConfig;
 
 fn main() {
     let args = HarnessArgs::parse();
     let (trace, tree) = trace_by_name("Synth-16", args.scale, args.seed);
     eprintln!("trace: {} jobs on {} nodes", trace.len(), tree.num_nodes());
-
-    let config = SimConfig::default();
 
     // LC: least-constrained placements, exclusive links (bw = the cap).
     let mut lc_trace = trace.clone();
@@ -31,27 +29,17 @@ fn main() {
         j.bw_tenths = 40;
     }
 
+    // (name, scheme, exclusive links: run on `lc_trace`)
     let variants = [
-        ("Jigsaw (restricted)", Scheme::Jigsaw, &trace),
-        ("LC (least constrained)", Scheme::LcS, &lc_trace),
+        ("Jigsaw (restricted)", Scheme::Jigsaw, false),
+        ("LC (least constrained)", Scheme::LcS, true),
         // LC+S: the real bandwidth classes.
-        ("LC+S (LC + link sharing)", Scheme::LcS, &trace),
+        ("LC+S (LC + link sharing)", Scheme::LcS, false),
     ];
-    let results = match args.pool().map(variants.to_vec(), |_, (_, scheme, t)| {
-        Simulation::new(&tree, t)
-            .scheme(scheme)
-            .config(config.clone())
-            .run()
-    }) {
-        Ok(r) => r,
-        Err(tp) => {
-            eprintln!(
-                "error: variant `{}` failed: {}",
-                variants[tp.index].0, tp.message
-            );
-            std::process::exit(1);
-        }
-    };
+    let results = or_exit(fan_out(args.jobs, &variants, |&(_, scheme, exclusive)| {
+        let t = if exclusive { &lc_trace } else { &trace };
+        simulate(t, &tree, scheme, SimConfig::default())
+    }));
 
     println!("## Ablation — the full-leaf restriction (§4)\n");
     println!(

@@ -9,13 +9,12 @@
 //! cargo run --release -p jigsaw-bench --bin ablation_shape_order [--scale f]
 //! ```
 
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::{fan_out, or_exit, trace_by_name, HarnessArgs};
 use jigsaw_core::JigsawAllocator;
 use jigsaw_sim::{SimConfig, Simulation};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let pool = args.pool();
     let names = ["Synth-16", "Thunder"];
     let config = SimConfig::default();
 
@@ -25,7 +24,7 @@ fn main() {
         .iter()
         .flat_map(|&n| [(n, false), (n, true)])
         .collect();
-    let results = match pool.map(cells.clone(), |_, (name, widest)| {
+    let results = or_exit(fan_out(args.jobs, &cells, |&(name, widest)| {
         let (trace, tree) = trace_by_name(name, args.scale, args.seed);
         let alloc = if widest {
             JigsawAllocator::with_widest_first_order(&tree)
@@ -36,15 +35,7 @@ fn main() {
             .allocator(Box::new(alloc))
             .config(config.clone())
             .run()
-    }) {
-        Ok(r) => r,
-        Err(tp) => {
-            let (name, widest) = cells[tp.index];
-            let order = if widest { "widest" } else { "densest" };
-            eprintln!("error: cell ({name}, {order}-first) failed: {}", tp.message);
-            std::process::exit(1);
-        }
-    };
+    }));
 
     println!("## Ablation — Jigsaw shape enumeration order\n");
     println!(

@@ -12,9 +12,9 @@
 //! cargo run --release -p jigsaw-bench --bin backfill_policies [--scale f]
 //! ```
 
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::{fan_out, or_exit, simulate, trace_by_name, HarnessArgs};
 use jigsaw_core::Scheme;
-use jigsaw_sim::{BackfillPolicy, SimConfig, Simulation};
+use jigsaw_sim::{BackfillPolicy, SimConfig};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -29,25 +29,13 @@ fn main() {
         ("EASY", BackfillPolicy::Easy),
         ("conservative", BackfillPolicy::Conservative),
     ];
-    let results = match args.pool().map(policies.to_vec(), |_, (_, policy)| {
-        let config = SimConfig {
+    let results = or_exit(fan_out(args.jobs, &policies, |&(_, policy)| {
+        let base = SimConfig {
             policy,
             ..SimConfig::default()
         };
-        Simulation::new(&tree, &trace)
-            .scheme(Scheme::Jigsaw)
-            .config(config)
-            .run()
-    }) {
-        Ok(r) => r,
-        Err(tp) => {
-            eprintln!(
-                "error: policy `{}` failed: {}",
-                policies[tp.index].0, tp.message
-            );
-            std::process::exit(1);
-        }
-    };
+        simulate(&trace, &tree, Scheme::Jigsaw, base)
+    }));
 
     println!("## Backfilling disciplines under Jigsaw\n");
     println!(

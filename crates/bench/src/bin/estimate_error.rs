@@ -13,13 +13,12 @@
 //! cargo run --release -p jigsaw-bench --bin estimate_error [--scale f]
 //! ```
 
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::{fan_out, or_exit, simulate, trace_by_name, HarnessArgs};
 use jigsaw_core::Scheme;
-use jigsaw_sim::{EstimateModel, SimConfig, Simulation};
+use jigsaw_sim::{EstimateModel, SimConfig};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let pool = args.pool();
     let names = ["Synth-16", "Oct-Cab"];
     let models = [
         ("exact", EstimateModel::Exact),
@@ -28,54 +27,31 @@ fn main() {
         ("over up to 10x", EstimateModel::Over { max_factor: 10.0 }),
     ];
 
-    // Generate each trace once, then fan the (trace × model) cells out.
-    let generated = match pool.map(names.to_vec(), |_, name| {
-        trace_by_name(name, args.scale, args.seed)
-    }) {
-        Ok(g) => g,
-        Err(tp) => {
-            eprintln!(
-                "error: generating trace {} failed: {}",
-                names[tp.index], tp.message
-            );
-            std::process::exit(1);
-        }
-    };
-    let cells: Vec<(usize, usize)> = (0..names.len())
-        .flat_map(|t| (0..models.len()).map(move |m| (t, m)))
+    // One cell per (trace, model); trace generation is cheap next to the
+    // simulation, so each cell generates its own copy.
+    let cells: Vec<(&str, &str, EstimateModel)> = names
+        .iter()
+        .flat_map(|&name| models.iter().map(move |&(label, m)| (name, label, m)))
         .collect();
-    let results = match pool.map(cells.clone(), |_, (t, m)| {
-        let (trace, tree) = &generated[t];
-        let config = SimConfig {
-            estimates: models[m].1,
+    let results = or_exit(fan_out(args.jobs, &cells, |&(name, _, estimates)| {
+        let (trace, tree) = trace_by_name(name, args.scale, args.seed);
+        let base = SimConfig {
+            estimates,
             ..SimConfig::default()
         };
-        Simulation::new(tree, trace)
-            .scheme(Scheme::Jigsaw)
-            .config(config)
-            .run()
-    }) {
-        Ok(r) => r,
-        Err(tp) => {
-            let (t, m) = cells[tp.index];
-            eprintln!(
-                "error: cell ({}, {}) failed: {}",
-                names[t], models[m].0, tp.message
-            );
-            std::process::exit(1);
-        }
-    };
+        simulate(&trace, &tree, Scheme::Jigsaw, base)
+    }));
 
     println!("## Runtime-estimate sensitivity (Jigsaw, EASY backfilling)\n");
     println!(
         "{:<12} {:>24} {:>11} {:>14} {:>12}",
         "trace", "estimates", "utilization", "avg turnaround", "makespan"
     );
-    for (&(t, m), r) in cells.iter().zip(&results) {
+    for (&(name, label, _), r) in cells.iter().zip(&results) {
         println!(
             "{:<12} {:>24} {:>10.1}% {:>14.0} {:>12.0}",
-            names[t],
-            models[m].0,
+            name,
+            label,
             100.0 * r.utilization,
             r.avg_turnaround(),
             r.makespan,

@@ -12,9 +12,9 @@
 //! cargo run --release -p jigsaw-bench --bin failure_resilience [--scale f]
 //! ```
 
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::{fan_out, or_exit, simulate, trace_by_name, HarnessArgs};
 use jigsaw_core::Scheme;
-use jigsaw_sim::{FailureModel, SimConfig, Simulation};
+use jigsaw_sim::{FailureModel, SimConfig};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -53,34 +53,21 @@ fn main() {
         ),
     ];
     let schemes = [Scheme::Baseline, Scheme::Jigsaw, Scheme::Laas];
-    let cells: Vec<(usize, Scheme)> = (0..models.len())
-        .flat_map(|m| schemes.iter().map(move |&k| (m, k)))
+    let cells: Vec<(&str, FailureModel, Scheme)> = models
+        .iter()
+        .flat_map(|&(label, m)| schemes.iter().map(move |&k| (label, m, k)))
         .collect();
-    let results = match args.pool().map(cells.clone(), |_, (m, kind)| {
-        let config = SimConfig {
-            failures: models[m].1,
-            scheme_benefits: kind.benefits_from_isolation(),
+    let results = or_exit(fan_out(args.jobs, &cells, |&(_, failures, kind)| {
+        let base = SimConfig {
+            failures,
             ..SimConfig::default()
         };
-        Simulation::new(&tree, &trace)
-            .scheme(kind)
-            .config(config)
-            .run()
-    }) {
-        Ok(r) => r,
-        Err(tp) => {
-            let (m, kind) = cells[tp.index];
-            eprintln!(
-                "error: cell ({}, {kind}) failed: {}",
-                models[m].0, tp.message
-            );
-            std::process::exit(1);
-        }
-    };
-    for (&(m, kind), r) in cells.iter().zip(&results) {
+        simulate(&trace, &tree, kind, base)
+    }));
+    for (&(label, _, kind), r) in cells.iter().zip(&results) {
         println!(
             "{:<22} {:>9} {:>8} {:>8} {:>10.1}% {:>11.0} {:>12.0}",
-            models[m].0,
+            label,
             r.failures,
             r.killed_jobs,
             kind.name(),

@@ -11,8 +11,8 @@
 
 use jigsaw_bench::registry::SPECS;
 use jigsaw_bench::report::{pct, table, write_json};
-use jigsaw_bench::runner::{product, run_grid_or_exit};
-use jigsaw_bench::{paper_traces, HarnessArgs};
+use jigsaw_bench::runner::product;
+use jigsaw_bench::{or_exit, paper_traces, run_grid, HarnessArgs};
 use jigsaw_core::Scheme;
 use jigsaw_sim::Scenario;
 
@@ -23,7 +23,7 @@ fn main() {
     let names: Vec<&str> = SPECS.iter().map(|s| s.name).collect();
     let cells = product(&names, &Scheme::ALL, &[Scenario::None]);
     eprintln!("running {} simulations ...", cells.len());
-    let results = run_grid_or_exit(&args.pool(), &cells, &traces, args.seed, false);
+    let results = or_exit(run_grid(args.jobs, &cells, &traces, args.seed, false));
 
     let columns: Vec<&str> = Scheme::ALL.iter().map(|k| k.name()).collect();
     let rows: Vec<(String, Vec<String>)> = names

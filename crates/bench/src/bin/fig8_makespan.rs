@@ -11,8 +11,8 @@
 //! ```
 
 use jigsaw_bench::report::{cell, norm, table, write_json};
-use jigsaw_bench::runner::{product, run_grid_or_exit};
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::runner::product;
+use jigsaw_bench::{or_exit, run_grid, trace_by_name, HarnessArgs};
 use jigsaw_core::Scheme;
 use jigsaw_sim::Scenario;
 
@@ -26,7 +26,7 @@ fn main() {
         .collect();
     let cells = product(&trace_names, &Scheme::ALL, &Scenario::ALL);
     eprintln!("running {} simulations ...", cells.len());
-    let results = run_grid_or_exit(&args.pool(), &cells, &traces, args.seed, false);
+    let results = or_exit(run_grid(args.jobs, &cells, &traces, args.seed, false));
 
     let scenario_labels: Vec<String> = Scenario::ALL.iter().map(|s| s.label()).collect();
     let columns: Vec<&str> = scenario_labels.iter().map(String::as_str).collect();

@@ -8,45 +8,28 @@
 //! cargo run --release -p jigsaw-bench --bin scale_sweep [--jobs n]
 //! ```
 
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::{or_exit, run_sweep, trace_by_name, HarnessArgs};
 use jigsaw_core::Scheme;
-use jigsaw_sim::{sweep_points, SimConfig};
-use std::sync::Mutex;
+use jigsaw_sim::SimConfig;
 
 fn main() {
     let args = HarnessArgs::parse();
     let scales = [0.02f64, 0.05, 0.1, 0.15];
     let schemes = [Scheme::Baseline, Scheme::Jigsaw, Scheme::LcS];
-    // Trace sizes, recorded as the sweep generates each scale's trace.
-    let job_counts = Mutex::new(vec![0usize; scales.len()]);
-    let runs = match sweep_points(
-        &args.pool(),
+    let runs = or_exit(run_sweep(
+        args.jobs,
         &scales,
         &schemes,
         &SimConfig::default(),
-        |&scale| {
-            let (trace, tree) = trace_by_name("Thunder", scale, args.seed);
-            let i = scales.iter().position(|&s| s == scale).unwrap();
-            job_counts
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)[i] = trace.len();
-            (trace, tree)
-        },
-    ) {
-        Ok(runs) => runs,
-        Err(failure) => {
-            eprintln!("error: {failure}");
-            std::process::exit(1);
-        }
-    };
+        |&scale| trace_by_name("Thunder", scale, args.seed),
+    ));
 
     println!("## Thunder utilization vs. trace scale\n");
     println!(
         "{:>7} {:>7} {:>10} {:>8} {:>8}",
         "scale", "jobs", "Baseline", "Jigsaw", "LC+S"
     );
-    let job_counts = job_counts.into_inner().unwrap();
-    for (i, &scale) in scales.iter().enumerate() {
+    for &scale in &scales {
         let cells: Vec<String> = runs
             .iter()
             .filter(|r| r.point == scale)
@@ -54,7 +37,11 @@ fn main() {
             .collect();
         println!(
             "{:>7} {:>7} {:>10} {:>8} {:>8}",
-            scale, job_counts[i], cells[0], cells[1], cells[2]
+            scale,
+            trace_by_name("Thunder", scale, args.seed).0.len(),
+            cells[0],
+            cells[1],
+            cells[2]
         );
     }
     println!("\nJigsaw and LC+S converge toward the paper's 95-96% as the horizon");

@@ -5,7 +5,7 @@
 //! ```
 
 use jigsaw_bench::registry::SPECS;
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::{fan_out, or_exit, trace_by_name, HarnessArgs};
 use jigsaw_traces::stats::{format_table1, TraceSummary};
 
 fn main() {
@@ -15,19 +15,10 @@ fn main() {
         args.scale
     );
     let names: Vec<&str> = SPECS.iter().map(|s| s.name).collect();
-    let summaries: Vec<TraceSummary> = match args.pool().map(names.clone(), |_, name| {
+    let summaries: Vec<TraceSummary> = or_exit(fan_out(args.jobs, &names, |name| {
         let (trace, _) = trace_by_name(name, args.scale, args.seed);
         TraceSummary::of(&trace)
-    }) {
-        Ok(s) => s,
-        Err(tp) => {
-            eprintln!(
-                "error: generating trace {} failed: {}",
-                names[tp.index], tp.message
-            );
-            std::process::exit(1);
-        }
-    };
+    }));
     println!("{}", format_table1(&summaries));
     println!(
         "(System nodes for synthetic traces is '–' as in the paper; they are\n\

@@ -10,8 +10,8 @@
 //! ```
 
 use jigsaw_bench::report::{table, write_json};
-use jigsaw_bench::runner::{product, run_grid_or_exit};
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::runner::product;
+use jigsaw_bench::{or_exit, run_grid, trace_by_name, HarnessArgs};
 use jigsaw_core::Scheme;
 use jigsaw_sim::metrics::INST_UTIL_LABELS;
 use jigsaw_sim::Scenario;
@@ -22,7 +22,7 @@ fn main() {
     let schemes = [Scheme::Laas, Scheme::Jigsaw, Scheme::Ta];
     let cells = product(&["Thunder"], &schemes, &[Scenario::None]);
     eprintln!("simulating Thunder under LaaS/Jigsaw/TA ...");
-    let results = run_grid_or_exit(&args.pool(), &cells, &traces, args.seed, true);
+    let results = or_exit(run_grid(args.jobs, &cells, &traces, args.seed, true));
 
     let rows: Vec<(String, Vec<String>)> = schemes
         .iter()

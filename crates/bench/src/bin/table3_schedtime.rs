@@ -12,8 +12,8 @@
 //! ```
 
 use jigsaw_bench::report::{cell, table, write_json};
-use jigsaw_bench::runner::{product, run_grid_or_exit};
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::runner::product;
+use jigsaw_bench::{or_exit, run_grid, trace_by_name, HarnessArgs};
 use jigsaw_core::Scheme;
 use jigsaw_sim::Scenario;
 
@@ -29,7 +29,7 @@ fn main() {
     let schemes = [Scheme::Ta, Scheme::Laas, Scheme::Jigsaw, Scheme::LcS];
     let cells = product(&trace_names, &schemes, &[Scenario::None]);
     eprintln!("running {} simulations ...", cells.len());
-    let results = run_grid_or_exit(&args.pool(), &cells, &traces, args.seed, false);
+    let results = or_exit(run_grid(args.jobs, &cells, &traces, args.seed, false));
 
     let rows: Vec<(String, Vec<String>)> = schemes
         .iter()

@@ -11,15 +11,14 @@
 //! cargo run --release -p jigsaw-bench --bin variance_check [--scale f] [--seed n] [--jobs n]
 //! ```
 
-use jigsaw_bench::{trace_by_name, HarnessArgs};
+use jigsaw_bench::{or_exit, run_sweep, trace_by_name, HarnessArgs};
 use jigsaw_core::Scheme;
-use jigsaw_sim::{sweep_seeds, SimConfig};
+use jigsaw_sim::SimConfig;
 
 const SEEDS: u64 = 5;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let pool = args.pool();
     let schemes = Scheme::ALL;
     println!("## Utilization stability over {SEEDS} trace seeds (mean ± stddev)\n");
     println!(
@@ -32,15 +31,13 @@ fn main() {
     );
     for name in ["Synth-16", "Oct-Cab"] {
         let seeds: Vec<u64> = (0..SEEDS).map(|s| args.seed + 1000 * s).collect();
-        let runs = match sweep_seeds(&pool, &seeds, &schemes, &SimConfig::default(), |seed| {
-            trace_by_name(name, args.scale, seed)
-        }) {
-            Ok(runs) => runs,
-            Err(failure) => {
-                eprintln!("error: {failure}");
-                std::process::exit(1);
-            }
-        };
+        let runs = or_exit(run_sweep(
+            args.jobs,
+            &seeds,
+            &schemes,
+            &SimConfig::default(),
+            |&seed| trace_by_name(name, args.scale, seed),
+        ));
         let mut samples: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
         for run in &runs {
             let k = schemes.iter().position(|&x| x == run.scheme).unwrap();

@@ -18,7 +18,7 @@
 
 use jigsaw_bench::registry::WORKLOAD_V2;
 use jigsaw_bench::report::{pct, table, write_json};
-use jigsaw_bench::{run_grid_or_exit, trace_by_name, GridCell, HarnessArgs};
+use jigsaw_bench::{or_exit, run_grid, trace_by_name, GridCell, HarnessArgs};
 use jigsaw_core::Scheme;
 use jigsaw_sim::Scenario;
 
@@ -50,7 +50,7 @@ fn main() {
             })
         })
         .collect();
-    let results = run_grid_or_exit(&args.pool(), &cells, &traces, args.seed, false);
+    let results = or_exit(run_grid(args.jobs, &cells, &traces, args.seed, false));
 
     for (trace, _) in &traces {
         let name = trace.name.as_str();

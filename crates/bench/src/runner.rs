@@ -1,13 +1,13 @@
 //! Parallel experiment execution over (trace × scheme × scenario) grids.
 //!
-//! Cells fan out across a [`Pool`]'s workers and come back in submission
-//! order, so reports built from the results are byte-identical whatever
-//! `--jobs` says. A cell that panics mid-simulation surfaces as a
-//! [`CellFailure`] naming the cell, instead of unwinding through a report
-//! writer with a half-written JSON file on disk.
+//! Cells go through [`fan_out`] and come back in submission order, so
+//! reports built from the results are byte-identical whatever `--jobs`
+//! says. A cell that panics mid-simulation surfaces as a [`CellFailure`]
+//! naming the cell, instead of unwinding through a report writer with a
+//! half-written JSON file on disk.
 
+use crate::{fan_out, CellFailure};
 use jigsaw_core::Scheme;
-use jigsaw_par::Pool;
 use jigsaw_sim::{Scenario, SimConfig, SimResult, Simulation};
 use jigsaw_topology::FatTree;
 use jigsaw_traces::Trace;
@@ -67,93 +67,46 @@ impl GridResult {
     }
 }
 
-/// A grid cell that died, named so harness binaries can report it and
-/// exit nonzero.
-#[derive(Debug, Clone)]
-pub struct CellFailure {
-    /// Trace name of the failing cell.
-    pub trace: String,
-    /// Scheme of the failing cell.
-    pub scheme: Scheme,
-    /// Scenario of the failing cell.
-    pub scenario: Scenario,
-    /// The contained panic message.
-    pub message: String,
+/// Simulate `scheme` on `(trace, tree)` under `base`, with
+/// `scheme_benefits` set per scheme from
+/// [`Scheme::benefits_from_isolation`]: the paper's rule that every scheme
+/// but Baseline enjoys the scenario speed-ups. Every harness cell that
+/// runs a named scheme is built here.
+pub fn simulate(trace: &Trace, tree: &FatTree, scheme: Scheme, base: SimConfig) -> SimResult {
+    let config = SimConfig {
+        scheme_benefits: scheme.benefits_from_isolation(),
+        ..base
+    };
+    Simulation::new(tree, trace)
+        .scheme(scheme)
+        .config(config)
+        .run()
 }
 
-impl std::fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "grid cell ({}, {}, {}) failed: {}",
-            self.trace, self.scheme, self.scenario, self.message
-        )
-    }
-}
-
-impl std::error::Error for CellFailure {}
-
-/// Run every cell of the grid on `pool`. `traces` resolves a trace name to
-/// its (trace, cluster) pair — generation happens once per trace up front,
-/// not per cell. Results are in the cells' submission order; the first
-/// failing cell (in that order) is returned instead.
+/// Run every cell of the grid on at most `jobs` threads. `traces` resolves
+/// a trace name to its (trace, cluster) pair — generation happens once per
+/// trace up front, not per cell. Results are in the cells' submission
+/// order; the first failing cell (in that order) is returned instead.
 pub fn run_grid(
-    pool: &Pool,
+    jobs: usize,
     cells: &[GridCell],
     traces: &[(Trace, FatTree)],
     scenario_seed: u64,
     collect_inst_util: bool,
 ) -> Result<Vec<GridResult>, CellFailure> {
-    let outcomes = pool.run(cells.to_vec(), |_, cell| {
+    fan_out(jobs, cells, |cell| {
         let (trace, tree) = traces
             .iter()
             .find(|(t, _)| t.name == cell.trace)
             .unwrap_or_else(|| panic!("trace {} not generated", cell.trace));
-        let config = SimConfig {
+        let base = SimConfig {
             scenario: cell.scenario,
             scenario_seed,
-            scheme_benefits: cell.scheme.benefits_from_isolation(),
             collect_inst_util,
             ..SimConfig::default()
         };
-        let result = Simulation::new(tree, trace)
-            .scheme(cell.scheme)
-            .config(config)
-            .run();
-        GridResult::from(&cell, &result)
-    });
-    outcomes
-        .into_iter()
-        .map(|outcome| {
-            outcome.map_err(|tp| {
-                let cell = &cells[tp.index];
-                CellFailure {
-                    trace: cell.trace.clone(),
-                    scheme: cell.scheme,
-                    scenario: cell.scenario,
-                    message: tp.message,
-                }
-            })
-        })
-        .collect()
-}
-
-/// [`run_grid`] with the shared harness-binary failure policy: print the
-/// failing cell to stderr and exit nonzero, never unwind.
-pub fn run_grid_or_exit(
-    pool: &Pool,
-    cells: &[GridCell],
-    traces: &[(Trace, FatTree)],
-    scenario_seed: u64,
-    collect_inst_util: bool,
-) -> Vec<GridResult> {
-    match run_grid(pool, cells, traces, scenario_seed, collect_inst_util) {
-        Ok(results) => results,
-        Err(failure) => {
-            eprintln!("error: {failure}");
-            std::process::exit(1);
-        }
-    }
+        GridResult::from(cell, &simulate(trace, tree, cell.scheme, base))
+    })
 }
 
 /// Convenience: the full scheme × scenario product for a set of traces.
@@ -186,7 +139,7 @@ mod tests {
             &[Scheme::Baseline, Scheme::Jigsaw],
             &[Scenario::None, Scenario::Fixed(10)],
         );
-        let results = run_grid(&Pool::new(4), &cells, &traces, 7, false).expect("grid runs");
+        let results = run_grid(4, &cells, &traces, 7, false).expect("grid runs");
         assert_eq!(results.len(), 4);
         assert!(results.iter().all(|r| r.utilization > 0.0));
         // Scenario does not change Baseline.
@@ -205,8 +158,8 @@ mod tests {
             &[Scheme::Baseline, Scheme::Jigsaw, Scheme::LcS],
             &[Scenario::None],
         );
-        let mut seq = run_grid(&Pool::sequential(), &cells, &traces, 7, false).expect("seq");
-        let mut par = run_grid(&Pool::new(3), &cells, &traces, 7, false).expect("par");
+        let mut seq = run_grid(1, &cells, &traces, 7, false).expect("seq");
+        let mut par = run_grid(3, &cells, &traces, 7, false).expect("par");
         // Scheduling time is measured wall clock — the one field that
         // differs even between two sequential runs. Everything else must
         // serialize byte-identically whatever the worker count.
@@ -234,8 +187,8 @@ mod tests {
             &[Scheme::Baseline, Scheme::Jigsaw],
             &[Scenario::None],
         );
-        let mut seq = run_grid(&Pool::sequential(), &cells, &traces, 7, false).expect("seq");
-        let mut par = run_grid(&Pool::new(3), &cells, &traces, 7, false).expect("par");
+        let mut seq = run_grid(1, &cells, &traces, 7, false).expect("seq");
+        let mut par = run_grid(3, &cells, &traces, 7, false).expect("par");
         for r in seq.iter_mut().chain(par.iter_mut()) {
             r.sched_time_per_job = 0.0; // wall clock, never deterministic
         }
@@ -250,11 +203,11 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         let traces = vec![trace_by_name("Synth-16", 0.005, 3)];
         let cells = product(&["Nope"], &[Scheme::Jigsaw], &[Scenario::None]);
-        let err =
-            run_grid(&Pool::new(2), &cells, &traces, 7, false).expect_err("unknown trace fails");
+        let err = run_grid(2, &cells, &traces, 7, false).expect_err("unknown trace fails");
         std::panic::set_hook(prev_hook);
-        assert_eq!(err.trace, "Nope");
-        assert_eq!(err.scheme, Scheme::Jigsaw);
+        assert_eq!(err.index, 0);
+        assert!(err.cell.contains("\"Nope\""), "{err}");
+        assert!(err.cell.contains("Jigsaw"), "{err}");
         assert!(err.to_string().contains("not generated"), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! `--jobs N` must not change defrag outcomes.
 //!
-//! Every experiment binary fans its grid over a [`Pool`] sized by
-//! `--jobs`. With the defragmenter in the scheduling loop, each cell now
+//! Every experiment binary fans its grid out through
+//! [`jigsaw_bench::fan_out`], at most `--jobs` cells at once. With the defragmenter in the scheduling loop, each cell now
 //! computes and applies migration plans mid-simulation — so plan search
 //! must be as deterministic as the allocator itself, or worker count
 //! would leak into committed BENCH artifacts. This fans identical
@@ -9,10 +9,10 @@
 //! byte-identical serialized outcomes (wall-clock fields excluded; they
 //! differ even between two sequential runs).
 
+use jigsaw_bench::fan_out;
 use jigsaw_bench::registry::trace_by_name;
 use jigsaw_core::defrag::{DefragConfig, PlanScheme};
 use jigsaw_core::Scheme;
-use jigsaw_par::Pool;
 use jigsaw_sim::{SimConfig, Simulation};
 
 /// One grid cell: a defrag-enabled sim, serialized without wall-clock.
@@ -52,13 +52,12 @@ fn worker_count_does_not_change_defrag_results() {
         ),
     ];
 
-    let run = |pool: &Pool| -> Vec<String> {
-        pool.map(cells.clone(), |_, (t, s, c)| run_cell(&t, s, c))
-            .expect("no cell panics")
+    let run = |jobs: usize| -> Vec<String> {
+        fan_out(jobs, &cells, |(t, s, c)| run_cell(t, *s, *c)).expect("no cell panics")
     };
-    let seq = run(&Pool::sequential());
-    let two = run(&Pool::new(2));
-    let four = run(&Pool::new(4));
+    let seq = run(1);
+    let two = run(2);
+    let four = run(4);
     assert!(
         seq.iter().any(|s| !s.contains("migrations=0")),
         "at least one cell must actually migrate, or this test is vacuous"

@@ -63,6 +63,17 @@ impl Flags {
         }
     }
 
+    /// `--scale`: the trace scale factor, default 0.05. Written so that NaN
+    /// fails too (every comparison with NaN is false).
+    pub fn scale(&self) -> Result<f64, String> {
+        let s = self.get_f64("scale", 0.05)?;
+        if s > 0.0 && s.is_finite() {
+            Ok(s)
+        } else {
+            Err(format!("--scale must be positive and finite, got {s}"))
+        }
+    }
+
     pub fn get_u64(&self, name: &str, default: u64) -> Result<u64, String> {
         match self.get(name) {
             None => Ok(default),
@@ -144,6 +155,22 @@ mod tests {
             .unwrap()
             .scheme()
             .is_err());
+    }
+
+    #[test]
+    fn scale_must_be_positive_and_finite() {
+        assert_eq!(Flags::parse(&[]).unwrap().scale().unwrap(), 0.05);
+        assert_eq!(
+            Flags::parse(&args(&["--scale", "2"])).unwrap().scale(),
+            Ok(2.0)
+        );
+        for bad in ["nan", "-1", "0", "inf", "-inf"] {
+            let err = Flags::parse(&args(&["--scale", bad]))
+                .unwrap()
+                .scale()
+                .expect_err(bad);
+            assert!(err.contains("--scale"), "{bad}: {err}");
+        }
     }
 
     #[test]

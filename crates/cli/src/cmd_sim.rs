@@ -20,7 +20,7 @@ pub fn run(args: &[String]) -> i32 {
     let Some(trace_arg) = flags.get("trace") else {
         return fail("--trace <built-in name or .swf path> is required");
     };
-    let scale = match flags.get_f64("scale", 0.05) {
+    let scale = match flags.scale() {
         Ok(s) => s,
         Err(e) => return fail(&e),
     };

@@ -43,7 +43,7 @@ pub fn run(args: &[String]) -> i32 {
     let Some(name) = flags.get("name") else {
         return fail("--name <built-in trace> is required");
     };
-    let scale = match flags.get_f64("scale", 0.05) {
+    let scale = match flags.scale() {
         Ok(s) => s,
         Err(e) => return fail(&e),
     };

@@ -21,9 +21,6 @@
 //! * [`traces`] — workload models, SWF parsing, Table-1 statistics,
 //! * [`persist`] — write-ahead journal, snapshots, and crash recovery for
 //!   the scheduler's allocation state,
-//! * [`par`] — deterministic scoped work pool ([`prelude::Pool`]) used by
-//!   the evaluation harness to fan sweeps across cores with byte-identical
-//!   output regardless of worker count,
 //! * [`net`] — the multi-client TCP scheduler daemon: line-protocol
 //!   framing, a single-writer [`prelude::Engine`], group-commit
 //!   durability over [`persist`], and the saturation load generator
@@ -64,7 +61,6 @@
 pub use jigsaw_core as core;
 pub use jigsaw_net as net;
 pub use jigsaw_obs as obs;
-pub use jigsaw_par as par;
 pub use jigsaw_persist as persist;
 pub use jigsaw_routing as routing;
 pub use jigsaw_sim as sim;
@@ -83,7 +79,6 @@ pub mod prelude {
     };
     pub use jigsaw_net::{Engine, Server, ServerConfig};
     pub use jigsaw_obs::Registry;
-    pub use jigsaw_par::{Pool, TaskPanic};
     pub use jigsaw_persist::{PersistError, PersistentState, RecoveryReport};
     pub use jigsaw_routing::{CongestionMap, PartitionRouter, Route};
     pub use jigsaw_sim::{Scenario, SimConfig, SimResult, Simulation};

@@ -33,8 +33,8 @@ use crate::lexer::{lex, Suppression, Tok};
 /// truncation-free (R2) and `#[must_use]`-correct (R4). Binary crates
 /// (`cli`, `bench`, `lint` itself) are exempt from those rules; R3 and R5
 /// still apply to them.
-pub const LIB_CRATES: [&str; 10] = [
-    "topology", "routing", "core", "sim", "traces", "persist", "obs", "par", "net", "jigsaw",
+pub const LIB_CRATES: [&str; 9] = [
+    "topology", "routing", "core", "sim", "traces", "persist", "obs", "net", "jigsaw",
 ];
 
 /// R2: `as` casts to these targets can truncate id/capacity arithmetic

@@ -39,7 +39,7 @@ use crate::protocol::{self, ErrCode, IdList, ParseError, Reply, Request, VERBS};
 use jigsaw_core::defrag::{self, plan_migrations, DefragConfig, MigrationPlan};
 use jigsaw_core::{Allocation, Allocator, Decision, JobRequest};
 use jigsaw_obs::{Counter, Histogram, Registry};
-use jigsaw_persist::{PersistError, PersistentState, SyncPolicy};
+use jigsaw_persist::{PersistError, PersistentState, Released, SyncPolicy};
 use jigsaw_routing::RoutingTables;
 use jigsaw_topology::ids::{JobId, NodeId};
 use jigsaw_topology::{FatTree, SystemState};
@@ -455,15 +455,16 @@ impl Engine {
     }
 
     fn free(&mut self, id: u32) -> Answer {
-        if !self.is_tracked(id) {
-            return Reply::err(ErrCode::UnknownJob, format!("job {id} is not allocated")).into();
-        }
         match self.persist.commit_release(JobId(id)) {
-            Ok(Some(alloc)) => {
+            Ok(Released::Held(alloc)) => {
                 self.allocator.release(self.persist.state_mut(), &alloc);
                 self.allocator.recycle(alloc);
             }
-            Ok(None) => {} // a queued submission was withdrawn: nothing held
+            Ok(Released::Withdrawn) => {} // a queued submission: nothing held
+            Ok(Released::Unknown) => {
+                return Reply::err(ErrCode::UnknownJob, format!("job {id} is not allocated"))
+                    .into();
+            }
             Err(e) => return Reply::err(ErrCode::Journal, e.to_string()).into(),
         }
         // The released job may have been some queued job's last unfinished

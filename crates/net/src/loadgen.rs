@@ -1,9 +1,8 @@
 //! Saturation load generator for the TCP daemon.
 //!
-//! Opens N concurrent connections (fanned out over a [`Pool`], one task
-//! per connection), drives each with a seeded random `ALLOC`/`FREE`/
-//! `STATUS` mix, and records per-request latency into a
-//! [`Histogram`] so p50/p99 come from the same
+//! Opens N concurrent connections (one scoped thread each), drives each
+//! with a seeded random `ALLOC`/`FREE`/`STATUS` mix, and records
+//! per-request latency into a [`Histogram`] so p50/p99 come from the same
 //! observability primitives the daemon itself exports.
 //!
 //! Two loop disciplines:
@@ -26,7 +25,6 @@
 
 use crate::protocol::{ErrCode, Request};
 use jigsaw_obs::{Histogram, Registry};
-use jigsaw_par::Pool;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
@@ -171,10 +169,13 @@ pub fn run(config: &LoadgenConfig, registry: &Registry) -> std::io::Result<Loadg
         "Client-observed request latency (ns), including pipeline queueing.",
     );
     let connections = config.connections.max(1);
-    let pool = Pool::new(connections);
     let t0 = Instant::now();
-    let outcomes = pool.run((0..connections).collect(), |_, conn_idx| {
-        run_conn(conn_idx, config, &latency)
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let latency = &latency;
+        let handles: Vec<_> = (0..connections)
+            .map(|conn_idx| scope.spawn(move || run_conn(conn_idx, config, latency)))
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
     let elapsed_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
@@ -186,7 +187,7 @@ pub fn run(config: &LoadgenConfig, registry: &Registry) -> std::io::Result<Loadg
         let tally = match outcome {
             Ok(Ok(tally)) => tally,
             Ok(Err(e)) => return Err(e),
-            Err(panic) => return Err(std::io::Error::other(panic.to_string())),
+            Err(_) => return Err(std::io::Error::other("a connection thread panicked")),
         };
         requests += tally.sent;
         ok += tally.ok;

@@ -156,6 +156,21 @@ pub struct ReservedJob {
     pub start: f64,
 }
 
+/// What [`PersistentState::commit_release`] found under a job id.
+// Unboxed on purpose: it is destructured at once, and a box would cost a
+// heap allocation on every `FREE`.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq)]
+pub enum Released {
+    /// A live or reserved job: its claimed allocation, for the caller to
+    /// release through the allocator.
+    Held(Allocation),
+    /// A queued job was withdrawn: journaled, but nothing was held.
+    Withdrawn,
+    /// No live, reserved or queued job has this id: nothing journaled.
+    Unknown,
+}
+
 /// What recovery found and did. One of these is returned by every
 /// [`PersistentState::open`] so the embedding daemon can log it.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -709,30 +724,30 @@ impl PersistentState {
         Ok(n)
     }
 
-    /// Journal a release and stop tracking `job`, returning its
-    /// allocation for the caller to release through the allocator
-    /// (write-ahead: the journal entry lands *before* the state changes).
-    /// Live and reserved jobs return their claimed allocation; a queued
-    /// job is withdrawn (journaled, but there is nothing to release, so
-    /// `None`). A job in none of the three maps is a no-op: nothing is
-    /// journaled and `None` is returned — callers that must distinguish
-    /// "withdrawn" from "unknown" check [`queued`](PersistentState::queued)
-    /// first.
+    /// Journal a release and stop tracking `job` (write-ahead: the
+    /// journal entry lands *before* the maps change). A live or reserved
+    /// job comes back [`Released::Held`] with its claimed allocation, for
+    /// the caller to release through the allocator; a queued job is
+    /// [`Released::Withdrawn`]; an id in none of the three maps is
+    /// [`Released::Unknown`] and journals nothing.
     #[must_use = "an ignored commit error means the release is not durable"]
-    pub fn commit_release(&mut self, job: JobId) -> Result<Option<Allocation>, PersistError> {
-        if self.live.contains_key(&job.0) {
-            self.record(|| Event::Release(job), Some(job.0))?;
-            return Ok(self.live.remove(&job.0));
+    pub fn commit_release(&mut self, job: JobId) -> Result<Released, PersistError> {
+        let id = job.0;
+        if !(self.live.contains_key(&id)
+            || self.reserved.contains_key(&id)
+            || self.queued.contains_key(&id))
+        {
+            return Ok(Released::Unknown);
         }
-        if self.reserved.contains_key(&job.0) {
-            self.record(|| Event::Release(job), Some(job.0))?;
-            return Ok(self.reserved.remove(&job.0).map(|r| r.alloc));
-        }
-        if self.queued.contains_key(&job.0) {
-            self.record(|| Event::Release(job), Some(job.0))?;
-            self.queued.remove(&job.0);
-        }
-        Ok(None)
+        self.record(|| Event::Release(job), Some(id))?;
+        Ok(if let Some(alloc) = self.live.remove(&id) {
+            Released::Held(alloc)
+        } else if let Some(r) = self.reserved.remove(&id) {
+            Released::Held(r.alloc)
+        } else {
+            self.queued.remove(&id);
+            Released::Withdrawn
+        })
     }
 
     /// Write a full snapshot now, prune old ones, truncate the journal,
@@ -1126,10 +1141,9 @@ mod tests {
 
     /// Journal a release and apply it to the state, as the daemon does.
     fn release(ps: &mut PersistentState, job: u32) {
-        let a = ps
-            .commit_release(JobId(job))
-            .unwrap()
-            .expect("job must be live");
+        let Released::Held(a) = ps.commit_release(JobId(job)).unwrap() else {
+            panic!("job {job} must be live");
+        };
         release_allocation(ps.state_mut(), &a);
     }
 
@@ -1493,7 +1507,7 @@ mod tests {
     fn release_of_unknown_job_is_none_and_unjournaled() {
         let dir = tmpdir("unknown");
         let (mut ps, _) = PersistentState::open(&dir, tree()).unwrap();
-        assert!(ps.commit_release(JobId(42)).unwrap().is_none());
+        assert_eq!(ps.commit_release(JobId(42)).unwrap(), Released::Unknown);
         assert_eq!(ps.last_seq(), 0);
         assert_eq!(std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1546,7 +1560,9 @@ mod tests {
         assert_eq!(ps2.claimed_allocations().len(), 1);
         assert!(audit_system(ps2.state(), &ps2.claimed_allocations()).is_empty());
         // Releasing the reservation hands back its allocation.
-        let freed = ps2.commit_release(JobId(5)).unwrap().expect("reserved");
+        let Released::Held(freed) = ps2.commit_release(JobId(5)).unwrap() else {
+            panic!("job 5 is reserved");
+        };
         release_allocation(ps2.state_mut(), &freed);
         assert_eq!(ps2.state().allocated_node_count(), 0);
         drop(ps2);
@@ -1585,7 +1601,7 @@ mod tests {
         let dir = tmpdir("withdraw");
         let (mut ps, _) = PersistentState::open(&dir, tree()).unwrap();
         ps.commit_submit(JobId(2), 3, 10, vec![1]).unwrap();
-        assert!(ps.commit_release(JobId(2)).unwrap().is_none());
+        assert_eq!(ps.commit_release(JobId(2)).unwrap(), Released::Withdrawn);
         assert!(ps.queued().is_empty());
         assert_eq!(ps.last_seq(), 2, "the withdrawal is a journaled event");
         drop(ps);

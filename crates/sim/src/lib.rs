@@ -46,11 +46,9 @@ pub mod engine;
 pub mod event;
 pub mod metrics;
 pub mod scenario;
-pub mod sweep;
 
 pub use engine::{
     BackfillPolicy, EstimateModel, FailureModel, SimConfig, SimObs, SimResult, Simulation,
 };
 pub use metrics::{InstUtilHistogram, JobRecord};
 pub use scenario::{ParseScenarioError, Scenario};
-pub use sweep::{sweep_points, sweep_seeds, SweepFailure, SweepRun};
