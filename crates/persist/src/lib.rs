@@ -160,7 +160,7 @@ pub struct ReservedJob {
 // Unboxed on purpose: it is destructured at once, and a box would cost a
 // heap allocation on every `FREE`.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Released {
     /// A live or reserved job: its claimed allocation, for the caller to
     /// release through the allocator.
@@ -733,21 +733,24 @@ impl PersistentState {
     #[must_use = "an ignored commit error means the release is not durable"]
     pub fn commit_release(&mut self, job: JobId) -> Result<Released, PersistError> {
         let id = job.0;
-        if !(self.live.contains_key(&id)
-            || self.reserved.contains_key(&id)
-            || self.queued.contains_key(&id))
-        {
-            return Ok(Released::Unknown);
+        if self.live.contains_key(&id) {
+            self.record(|| Event::Release(job), Some(id))?;
+            return Ok(self
+                .live
+                .remove(&id)
+                .map_or(Released::Unknown, Released::Held));
         }
-        self.record(|| Event::Release(job), Some(id))?;
-        Ok(if let Some(alloc) = self.live.remove(&id) {
-            Released::Held(alloc)
-        } else if let Some(r) = self.reserved.remove(&id) {
-            Released::Held(r.alloc)
-        } else {
+        if self.reserved.contains_key(&id) {
+            self.record(|| Event::Release(job), Some(id))?;
+            let held = self.reserved.remove(&id).map(|r| r.alloc);
+            return Ok(held.map_or(Released::Unknown, Released::Held));
+        }
+        if self.queued.contains_key(&id) {
+            self.record(|| Event::Release(job), Some(id))?;
             self.queued.remove(&id);
-            Released::Withdrawn
-        })
+            return Ok(Released::Withdrawn);
+        }
+        Ok(Released::Unknown)
     }
 
     /// Write a full snapshot now, prune old ones, truncate the journal,
