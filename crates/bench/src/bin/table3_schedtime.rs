@@ -1,5 +1,6 @@
 //! Regenerate **Table 3**: average scheduling time per job for four
-//! representative experiments, smallest to largest cluster.
+//! representative experiments, smallest to largest cluster. The text table
+//! prints microseconds; the JSON keeps `sched_time_per_job` in seconds.
 //!
 //! Paper shape to reproduce: TA/LaaS/Jigsaw within the same order of
 //! magnitude of each other on every cluster (milliseconds in the paper's
@@ -38,7 +39,7 @@ fn main() {
                 .iter()
                 .map(|t| {
                     let r = cell(&results, t, k, Scenario::None);
-                    format!("{:.5}", r.sched_time_per_job)
+                    format!("{:.2}", r.sched_time_per_job * 1e6)
                 })
                 .collect();
             (k.name().to_string(), values)
@@ -47,7 +48,7 @@ fn main() {
     println!(
         "{}",
         table(
-            "Table 3 — average scheduling time per job (seconds)",
+            "Table 3 — average scheduling time per job (µs)",
             &trace_names,
             &rows
         )

@@ -413,24 +413,28 @@ pub fn free_nodes_on_into(state: &SystemState, leaf: LeafId, count: u32, out: &m
     );
 }
 
-/// Claim every resource of `alloc` in `state`.
+/// Claim every resource of `alloc` in `state`, one leaf (or L2 switch) run
+/// at a time: consecutive nodes or links of one leaf are one
+/// [`SystemState::claim_leaf_nodes`] / [`SystemState::claim_leaf_uplinks`]
+/// call, which checks each element and updates the derived indices once.
 ///
 /// Exclusive mode (`bw_tenths == 0`) takes ownership of each link;
 /// fractional mode reserves bandwidth instead.
 ///
 /// # Panics
-/// On any isolation violation (resource already taken) — allocator searches
-/// must only produce available resources.
+/// On any isolation violation (resource already taken, or listed twice) —
+/// allocator searches must only produce available resources.
 pub fn claim_allocation(state: &mut SystemState, alloc: &Allocation) {
-    for &n in &alloc.nodes {
-        state.claim_node(n, alloc.job);
+    let tree = *state.tree();
+    for (leaf, slots) in tree.node_runs(&alloc.nodes) {
+        state.claim_leaf_nodes(leaf, slots, alloc.job);
     }
     if alloc.bw_tenths == 0 {
-        for &l in &alloc.leaf_links {
-            state.claim_leaf_link(l, alloc.job);
+        for (leaf, positions) in tree.leaf_link_runs(&alloc.leaf_links) {
+            state.claim_leaf_uplinks(leaf, positions, alloc.job);
         }
-        for &l in &alloc.spine_links {
-            state.claim_spine_link(l, alloc.job);
+        for (l2, slots) in tree.spine_link_runs(&alloc.spine_links) {
+            state.claim_spine_uplinks(l2, slots, alloc.job);
         }
     } else {
         for &l in &alloc.leaf_links {
@@ -448,17 +452,22 @@ pub fn claim_allocation(state: &mut SystemState, alloc: &Allocation) {
     }
 }
 
-/// Release every resource of `alloc` from `state`.
+/// Release every resource of `alloc` from `state`, one leaf (or L2 switch)
+/// run at a time — the inverse of [`claim_allocation`].
+///
+/// # Panics
+/// On a double release (a resource already free, or listed twice).
 pub fn release_allocation(state: &mut SystemState, alloc: &Allocation) {
-    for &n in &alloc.nodes {
-        state.release_node(n);
+    let tree = *state.tree();
+    for (leaf, slots) in tree.node_runs(&alloc.nodes) {
+        state.release_leaf_nodes(leaf, slots);
     }
     if alloc.bw_tenths == 0 {
-        for &l in &alloc.leaf_links {
-            state.release_leaf_link(l);
+        for (leaf, positions) in tree.leaf_link_runs(&alloc.leaf_links) {
+            state.release_leaf_uplinks(leaf, positions);
         }
-        for &l in &alloc.spine_links {
-            state.release_spine_link(l);
+        for (l2, slots) in tree.spine_link_runs(&alloc.spine_links) {
+            state.release_spine_uplinks(l2, slots);
         }
     } else {
         for &l in &alloc.leaf_links {
@@ -545,6 +554,66 @@ mod tests {
 
     fn tiny_state() -> SystemState {
         SystemState::new(FatTree::maximal(4).unwrap())
+    }
+
+    #[test]
+    fn claim_and_release_walk_leaf_runs() {
+        let mut state = tiny_state();
+        // Leaf 0 (nodes 0, 1), leaf 2 (node 4), then leaf 0's links and
+        // one spine link: four runs in all.
+        let a = raw_alloc(&[0, 1, 4], &[0, 1], &[3]);
+        claim_allocation(&mut state, &a);
+        state.assert_consistent();
+        assert_eq!(state.allocated_node_count(), 3);
+        assert_eq!(state.leaf_uplink_free_mask(LeafId(0)), 0);
+        release_allocation(&mut state, &a);
+        state.assert_consistent();
+        assert_eq!(state, tiny_state());
+    }
+
+    #[test]
+    #[should_panic(expected = "isolation violation")]
+    fn double_claim_of_an_allocation_panics() {
+        let mut state = tiny_state();
+        let a = raw_alloc(&[0, 1], &[], &[]);
+        claim_allocation(&mut state, &a);
+        claim_allocation(&mut state, &a);
+    }
+
+    #[test]
+    #[should_panic(expected = "double release")]
+    fn double_release_of_an_allocation_panics() {
+        let mut state = tiny_state();
+        let a = raw_alloc(&[0, 1], &[0], &[0]);
+        claim_allocation(&mut state, &a);
+        release_allocation(&mut state, &a);
+        release_allocation(&mut state, &a);
+    }
+
+    #[test]
+    #[should_panic(expected = "isolation violation: NodeId(1) already owned")]
+    fn node_listed_twice_in_one_allocation_panics() {
+        claim_allocation(&mut tiny_state(), &raw_alloc(&[0, 1, 1], &[], &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "already owned")]
+    fn leaf_link_listed_twice_in_one_allocation_panics() {
+        claim_allocation(&mut tiny_state(), &raw_alloc(&[], &[2, 3, 2], &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "already owned")]
+    fn spine_link_listed_twice_in_one_allocation_panics() {
+        claim_allocation(&mut tiny_state(), &raw_alloc(&[], &[], &[5, 5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "double release of NodeId(1)")]
+    fn node_listed_twice_in_a_release_panics() {
+        let mut state = tiny_state();
+        claim_allocation(&mut state, &raw_alloc(&[0, 1], &[], &[]));
+        release_allocation(&mut state, &raw_alloc(&[0, 1, 1], &[], &[]));
     }
 
     #[test]

@@ -120,10 +120,17 @@ impl fmt::Display for AuditError {
 /// Audit `state` against the complete set of live allocations. Returns
 /// every finding (empty = healthy).
 ///
+/// `live` is any re-iterable set of borrowed allocations — a slice, a
+/// `&Vec`, or a chain of borrows — so a caller assembling the set from
+/// several places need not clone it. It is walked twice.
+///
 /// Claims are tallied in dense per-node and per-link vectors, so the cost
 /// is linear in the machine plus the live set. An id outside the tree (a
 /// corrupt allocation, say from a decoded journal) is itself a finding.
-pub fn audit_system(state: &SystemState, live: &[Allocation]) -> Vec<AuditError> {
+pub fn audit_system<'a, I>(state: &SystemState, live: I) -> Vec<AuditError>
+where
+    I: IntoIterator<Item = &'a Allocation> + Clone,
+{
     let tree = state.tree();
     let mut errors = Vec::new();
 
@@ -132,7 +139,7 @@ pub fn audit_system(state: &SystemState, live: &[Allocation]) -> Vec<AuditError>
     let mut node_claims: Vec<Option<u32>> = vec![None; tree.num_nodes() as usize];
     let mut leaf_link_claimed = vec![false; tree.num_leaf_links() as usize];
     let mut spine_link_claimed = vec![false; tree.num_spine_links() as usize];
-    for alloc in live {
+    for alloc in live.clone() {
         let job = alloc.job.0;
         for n in &alloc.nodes {
             match node_claims.get_mut(n.idx()) {

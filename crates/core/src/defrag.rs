@@ -258,7 +258,7 @@ pub fn apply_move(
     alloc.release(state, &m.from);
     alloc.adopt(state, &m.to);
     claimed[idx] = m.to.clone();
-    audited(state, claimed, m.job)
+    audited(state, &*claimed, m.job)
 }
 
 /// Apply a whole [`MigrationPlan`]: every move through [`apply_move`],
@@ -272,22 +272,23 @@ pub fn apply_move(
 pub fn apply_plan(
     alloc: &mut dyn Allocator,
     state: &mut SystemState,
-    claimed: &mut Vec<Allocation>,
+    claimed: &mut [Allocation],
     plan: &MigrationPlan,
 ) -> Result<Allocation, PlanApplyError> {
     for m in &plan.moves {
         apply_move(alloc, state, claimed, m)?;
     }
     alloc.adopt(state, &plan.admits);
-    let admitted_at = claimed.len();
-    claimed.push(plan.admits.clone());
-    let audit = audited(state, claimed, plan.admits.job);
-    let admits = claimed.swap_remove(admitted_at);
-    audit.map(|()| admits)
+    audited(state, claimed.iter().chain([&plan.admits]), plan.admits.job)?;
+    Ok(plan.admits.clone())
 }
 
 /// `Ok` when `claimed` balances `state`, else the findings blamed on `job`.
-fn audited(state: &SystemState, claimed: &[Allocation], job: JobId) -> Result<(), PlanApplyError> {
+fn audited<'a>(
+    state: &SystemState,
+    claimed: impl IntoIterator<Item = &'a Allocation> + Clone,
+    job: JobId,
+) -> Result<(), PlanApplyError> {
     let errors = audit_system(state, claimed);
     if errors.is_empty() {
         Ok(())
@@ -311,7 +312,7 @@ fn audited(state: &SystemState, claimed: &[Allocation], job: JobId) -> Result<()
 /// once. Untouched leaves rank (cost 0) ahead of every touched one, which
 /// shifts all touched ranks equally and so leaves the order unchanged.
 /// Allocations list a leaf's nodes consecutively, so both passes divide
-/// once per run of same-leaf nodes ([`leaf_runs`]), not once per node.
+/// once per run of same-leaf nodes (`FatTree::node_runs`), not once per node.
 fn leaf_coherent_order(state: &SystemState, live: &[Allocation]) -> Vec<usize> {
     let tree = state.tree();
     let leaves = tree.num_leaves() as usize;
@@ -320,7 +321,8 @@ fn leaf_coherent_order(state: &SystemState, live: &[Allocation]) -> Vec<usize> {
     // job charges every leaf it touches exactly once.
     let mut charged_by = vec![usize::MAX; leaves];
     for (i, a) in live.iter().enumerate() {
-        for l in leaf_runs(tree, &a.nodes) {
+        for (leaf, _) in tree.node_runs(&a.nodes) {
+            let l = leaf.idx();
             if charged_by[l] != i {
                 charged_by[l] = i;
                 cost[l] += a.nodes.len() as u64;
@@ -336,8 +338,9 @@ fn leaf_coherent_order(state: &SystemState, live: &[Allocation]) -> Vec<usize> {
     let keys: Vec<(usize, usize, u32)> = live
         .iter()
         .map(|a| {
-            let best = leaf_runs(tree, &a.nodes)
-                .map(|l| rank[l])
+            let best = tree
+                .node_runs(&a.nodes)
+                .map(|(leaf, _)| rank[leaf.idx()])
                 .min()
                 .unwrap_or(usize::MAX);
             (best, a.nodes.len(), a.job.0)
@@ -346,27 +349,6 @@ fn leaf_coherent_order(state: &SystemState, live: &[Allocation]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..live.len()).collect();
     order.sort_by_key(|&i| keys[i]);
     order
-}
-
-/// The leaf index of each run of consecutive same-leaf nodes in `nodes`
-/// (a leaf recurs if its nodes are not contiguous in the list). One
-/// division per run: a node inside the current run's id range needs none.
-fn leaf_runs<'a>(
-    tree: &'a jigsaw_topology::FatTree,
-    nodes: &'a [jigsaw_topology::ids::NodeId],
-) -> impl Iterator<Item = usize> + 'a {
-    let per_leaf = tree.nodes_per_leaf();
-    // The current run's node-id range; empty until the first node.
-    let (mut lo, mut hi) = (0u32, 0u32);
-    nodes.iter().filter_map(move |&n| {
-        if (lo..hi).contains(&n.0) {
-            return None;
-        }
-        let leaf = tree.leaf_of_node(n);
-        lo = leaf.0 * per_leaf;
-        hi = lo + per_leaf;
-        Some(leaf.idx())
-    })
 }
 
 /// One plan search: the inputs every candidate eviction order is
@@ -509,14 +491,15 @@ impl Planner<'_> {
         placed: &[Allocation],
     ) -> Option<Vec<Migration>> {
         let live = self.live;
-        let mut scratch_live: Vec<Allocation> = (0..live.len())
-            .filter(|i| !evicted.contains(i))
-            .map(|i| live[i].clone())
-            .collect();
-        scratch_live.push(admits.clone());
-        scratch_live.extend_from_slice(placed);
-        scratch_live.extend_from_slice(self.pinned);
-        if !audit_system(scratch, &scratch_live).is_empty() {
+        let scratch_live = live
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !evicted.contains(i))
+            .map(|(_, a)| a)
+            .chain(std::iter::once(admits))
+            .chain(placed)
+            .chain(self.pinned);
+        if !audit_system(scratch, scratch_live).is_empty() {
             return None;
         }
         let moves = replace_order

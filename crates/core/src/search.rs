@@ -54,28 +54,12 @@ impl LinkView for Exclusive {
     fn leaf_avail_mask(&self, state: &SystemState, leaf: LeafId) -> u64 {
         // Exclude links carrying fractional bandwidth (relevant only if
         // schemes are mixed on one state; individually harmless).
-        let mut mask = state.leaf_uplink_free_mask(leaf);
-        if mask != 0 {
-            for pos in iter_mask(mask) {
-                if state.leaf_link_bw_used(state.tree().leaf_link(leaf, pos)) != 0 {
-                    mask &= !(1 << pos);
-                }
-            }
-        }
-        mask
+        state.leaf_uplink_free_mask(leaf) & !state.leaf_uplink_shared_mask(leaf)
     }
 
     #[inline]
     fn spine_avail_mask(&self, state: &SystemState, l2: L2Id) -> u64 {
-        let mut mask = state.spine_uplink_free_mask(l2);
-        if mask != 0 {
-            for slot in iter_mask(mask) {
-                if state.spine_link_bw_used(state.tree().spine_link(l2, slot)) != 0 {
-                    mask &= !(1 << slot);
-                }
-            }
-        }
-        mask
+        state.spine_uplink_free_mask(l2) & !state.spine_uplink_shared_mask(l2)
     }
 
     #[inline]

@@ -46,7 +46,13 @@ pub const NARROW_INTS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 /// that can violate the paper's exclusive-assignment guarantee when called
 /// from unaudited code. (`set_node_offline`/`set_node_online` are the
 /// failure-injection API, not allocation, and stay callable.)
-pub const STATE_MUTATORS: [&str; 10] = [
+pub const STATE_MUTATORS: [&str; 16] = [
+    "claim_leaf_nodes",
+    "release_leaf_nodes",
+    "claim_leaf_uplinks",
+    "release_leaf_uplinks",
+    "claim_spine_uplinks",
+    "release_spine_uplinks",
     "claim_node",
     "release_node",
     "claim_leaf_link",

@@ -273,7 +273,9 @@ impl SimResult {
 /// * `jigsaw_sim_backfill_hits_total` / `jigsaw_sim_backfill_misses_total`
 ///   — backfill candidates started early vs. inspected-but-held;
 /// * `jigsaw_sim_reservation_replay_ns` — cost of computing the EASY
-///   shadow reservation by replaying completions on scratch state.
+///   shadow reservation by replaying completions on scratch state;
+/// * `jigsaw_sim_shadow_reuses_total` — EASY passes that reused the
+///   shadow of an unchanged machine and head instead of replaying.
 #[derive(Debug, Clone)]
 pub struct SimObs {
     registry: Registry,
@@ -282,6 +284,7 @@ pub struct SimObs {
     backfill_hits: Counter,
     backfill_misses: Counter,
     reservation_replay_ns: Histogram,
+    shadow_reuses: Counter,
 }
 
 impl SimObs {
@@ -308,6 +311,10 @@ impl SimObs {
             reservation_replay_ns: registry.histogram(
                 "jigsaw_sim_reservation_replay_ns",
                 "Latency of computing the EASY shadow reservation (ns).",
+            ),
+            shadow_reuses: registry.counter(
+                "jigsaw_sim_shadow_reuses_total",
+                "EASY passes that reused the shadow of an unchanged machine.",
             ),
         }
     }
@@ -401,9 +408,13 @@ struct ProbeMemo {
     digest: u64,
     /// The head got `NoFit { fits_empty: true }` (no plan either).
     head_blocked: bool,
+    /// The head's EASY shadow: `None` until a backfill pass computes it,
+    /// then the replay's answer — `(time, allocation)`, or `None` when the
+    /// head fits no future state. As a function of the machine and the
+    /// head it holds for the whole key, so later passes reuse it.
+    shadow: Option<Option<(f64, Allocation)>>,
     /// Backfill outcomes by `(size, bw)`. `Overlaps` entries are relative
-    /// to the shadow, which is recomputed each pass but, as a function of
-    /// the machine and the head, is the same for the whole epoch.
+    /// to the shadow, which is the same for the whole key.
     probes: Vec<((u32, u16), Probe)>,
 }
 
@@ -704,55 +715,64 @@ impl<'a> Sim<'a> {
     }
 
     fn run(mut self) -> SimResult {
-        while let Some(t) = self.events.peek_time() {
-            self.obs.event_queue_depth.observe(self.events.len() as u64);
-            // Drain the whole batch at time t.
-            while self.events.peek_time() == Some(t) {
-                let Some((_, kind)) = self.events.pop() else {
-                    break;
-                };
-                match kind {
-                    EventKind::Arrival { job } => self.handle_arrival(job, t),
-                    EventKind::Completion { job, epoch } => self.handle_completion(job, epoch, t),
-                    EventKind::Eligible { job } => {
-                        if !self.dropped[job as usize] {
-                            self.queue.push_back(job);
-                        }
-                    }
-                    EventKind::ReservationStart { job } => {
-                        // Claimed at the top of the scheduling pass so
-                        // completions at the same instant (which may have a
-                        // later event sequence) release their nodes first.
-                        self.due_reservations.push(job);
-                    }
-                    EventKind::Failure => self.handle_failure(t),
-                    EventKind::Repair { node } => {
-                        self.state.set_node_online(NodeId(node));
-                        self.epoch += 1;
-                    }
-                }
-            }
-
-            self.schedule_pass(t);
-
-            self.obs.wait_queue_len.observe(self.queue.len() as u64);
-            if self.config.collect_inst_util {
-                self.util_samples
-                    .push((t, self.busy_req as f64 / self.tree.num_nodes() as f64));
-            }
-            // Track backlog transitions (evaluated after the scheduling
-            // pass: jobs that start immediately never create backlog).
-            match (self.backlog_since, self.queue.is_empty()) {
-                (None, false) => self.backlog_since = Some(t),
-                (Some(since), true) => {
-                    self.backlog_intervals.push((since, t));
-                    self.backlog_since = None;
-                }
-                _ => {}
-            }
-            self.last_end = t.max(self.last_end);
-        }
+        while self.step() {}
         self.finish()
+    }
+
+    /// Handle the next batch of events (every event at the earliest
+    /// pending time) and run the scheduling pass after it. Returns `false`
+    /// once no event is left.
+    fn step(&mut self) -> bool {
+        let Some(t) = self.events.peek_time() else {
+            return false;
+        };
+        self.obs.event_queue_depth.observe(self.events.len() as u64);
+        // Drain the whole batch at time t.
+        while self.events.peek_time() == Some(t) {
+            let Some((_, kind)) = self.events.pop() else {
+                break;
+            };
+            match kind {
+                EventKind::Arrival { job } => self.handle_arrival(job, t),
+                EventKind::Completion { job, epoch } => self.handle_completion(job, epoch, t),
+                EventKind::Eligible { job } => {
+                    if !self.dropped[job as usize] {
+                        self.queue.push_back(job);
+                    }
+                }
+                EventKind::ReservationStart { job } => {
+                    // Claimed at the top of the scheduling pass so
+                    // completions at the same instant (which may have a
+                    // later event sequence) release their nodes first.
+                    self.due_reservations.push(job);
+                }
+                EventKind::Failure => self.handle_failure(t),
+                EventKind::Repair { node } => {
+                    self.state.set_node_online(NodeId(node));
+                    self.epoch += 1;
+                }
+            }
+        }
+
+        self.schedule_pass(t);
+
+        self.obs.wait_queue_len.observe(self.queue.len() as u64);
+        if self.config.collect_inst_util {
+            self.util_samples
+                .push((t, self.busy_req as f64 / self.tree.num_nodes() as f64));
+        }
+        // Track backlog transitions (evaluated after the scheduling
+        // pass: jobs that start immediately never create backlog).
+        match (self.backlog_since, self.queue.is_empty()) {
+            (None, false) => self.backlog_since = Some(t),
+            (Some(since), true) => {
+                self.backlog_intervals.push((since, t));
+                self.backlog_since = None;
+            }
+            _ => {}
+        }
+        self.last_end = t.max(self.last_end);
+        true
     }
 
     fn handle_arrival(&mut self, idx: u32, t: f64) {
@@ -1083,6 +1103,9 @@ impl<'a> Sim<'a> {
             };
             self.memo.head_blocked = false;
             self.memo.probes.clear();
+            if let Some(Some((_, shadow))) = self.memo.shadow.take() {
+                self.allocator.recycle(shadow);
+            }
         }
         &mut self.memo
     }
@@ -1234,15 +1257,37 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// One EASY backfill pass behind a head that did not start. The shadow
+    /// comes from the memo when a pass at the same `(epoch, head)` already
+    /// replayed it (a stale completion, say, triggers a pass in which
+    /// nothing changed), and goes back into the memo unless a backfill
+    /// start moved the epoch.
     fn backfill_easy_pass(&mut self, head: u32, t: f64) {
-        self.sync_memo(head);
         let j = &self.trace.jobs[head as usize];
         let req = JobRequest::with_bandwidth(JobId(j.id), j.size, j.bw_tenths);
-        let t0 = self.obs.reservation_replay_ns.start();
-        let shadow = self.compute_reservation(&req);
-        self.obs.reservation_replay_ns.observe_since(t0);
-        if let Some((shadow_time, shadow_alloc)) = shadow {
-            self.backfill(head, t, shadow_time, &shadow_alloc);
+        let shadow = match self.sync_memo(head).shadow.take() {
+            Some(shadow) => {
+                debug_assert!(
+                    shadow == self.compute_reservation(&req),
+                    "a memoized shadow differs from a fresh replay"
+                );
+                self.obs.shadow_reuses.inc();
+                shadow
+            }
+            None => {
+                let t0 = self.obs.reservation_replay_ns.start();
+                let shadow = self.compute_reservation(&req);
+                self.obs.reservation_replay_ns.observe_since(t0);
+                shadow
+            }
+        };
+        let epoch = self.epoch;
+        if let Some((shadow_time, shadow_alloc)) = &shadow {
+            self.backfill(head, t, *shadow_time, shadow_alloc);
+        }
+        if self.epoch == epoch {
+            self.memo.shadow = Some(shadow);
+        } else if let Some((_, shadow_alloc)) = shadow {
             self.allocator.recycle(shadow_alloc);
         }
     }
@@ -2387,5 +2432,75 @@ mod tests {
         assert_eq!(a.jobs, b.jobs);
         assert_eq!(a.migrations, b.migrations);
         assert_eq!(a.migration_cost, b.migration_cost);
+    }
+
+    // ---- the memoized EASY shadow ----
+
+    /// A migration slips each moved job's completion and leaves its old
+    /// completion event behind. When that stale event fires (or a job
+    /// arrives behind a blocked head), the pass finds the machine and the
+    /// head unchanged and reuses the shadow: fewer replays than EASY passes
+    /// behind a blocked head.
+    #[test]
+    fn stale_completions_reuse_the_memoized_shadow() {
+        let tree = FatTree::maximal(8).unwrap();
+        let trace = jigsaw_traces::synth::synth(8, 200, 2021);
+        let config = SimConfig {
+            defrag: Some(DefragConfig::default()),
+            migration_cost_per_node: 60.0,
+            ..SimConfig::default()
+        };
+        let reg = Registry::new();
+        let r = Simulation::new(&tree, &trace)
+            .config(config.clone())
+            .with_registry(&reg)
+            .run();
+        assert!(r.migrations > 0, "the trace must migrate jobs");
+        let replays = reg
+            .histogram("jigsaw_sim_reservation_replay_ns", "")
+            .count();
+        let reuses = reg.counter("jigsaw_sim_shadow_reuses_total", "").get();
+        // Every EASY pass behind a blocked head either replays or reuses.
+        assert!(
+            replays > 0 && reuses > 0,
+            "{replays} replays, {reuses} reuses"
+        );
+        // Observation does not perturb the schedule.
+        let plain = Simulation::new(&tree, &trace).config(config).run();
+        assert_eq!(plain.jobs, r.jobs);
+    }
+
+    /// A shadow that survives a machine change (here: a release without
+    /// an epoch bump) trips the memo's digest assertion in debug builds.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the machine changed without an epoch bump")]
+    fn a_stale_shadow_fails_loudly() {
+        // Job 1 (8 nodes) is blocked behind job 0; job 2 arrives behind it,
+        // so the pass at t=2 replays a shadow and cannot backfill job 2.
+        let trace = Trace::new(
+            "t",
+            16,
+            vec![
+                job(0, 0.0, 12, 100.0),
+                job(1, 1.0, 8, 10.0),
+                job(2, 2.0, 8, 10.0),
+            ],
+        );
+        let tree = FatTree::maximal(4).unwrap();
+        let mut sim = Sim::new(
+            &tree,
+            &trace,
+            Scheme::Baseline.make(&tree),
+            SimConfig::default(),
+            &Registry::disabled(),
+        );
+        while sim.memo.shadow.is_none() {
+            assert!(sim.step(), "the trace must block a head behind a window");
+        }
+        let alloc = sim.running.allocs[0].clone();
+        sim.allocator.release(&mut sim.state, &alloc);
+        let head = sim.memo.head;
+        sim.backfill_easy_pass(head, 3.0);
     }
 }

@@ -127,6 +127,35 @@ pub fn iter_mask(mut mask: u64) -> impl Iterator<Item = u32> {
     })
 }
 
+/// Split a list of dense ids into per-group runs `(group, mask)`, where
+/// `group = id / per_group` and bit `id % per_group` of `mask` is set. A
+/// run ends where the group changes or an id repeats, so every id lands in
+/// exactly one run and a repeated id starts a new run of its own group.
+/// `per_group` must be in `1..=64`.
+pub fn runs<I: IntoIterator<Item = u32>>(
+    ids: I,
+    per_group: u32,
+) -> impl Iterator<Item = (u32, u64)> {
+    debug_assert!((1..=64).contains(&per_group));
+    let mut ids = ids.into_iter();
+    let mut pending = None;
+    std::iter::from_fn(move || {
+        let first = pending.take().or_else(|| ids.next())?;
+        let group = first / per_group;
+        let base = group * per_group;
+        let mut mask = 1u64 << (first - base);
+        for id in ids.by_ref() {
+            let bit = id.wrapping_sub(base);
+            if bit >= per_group || mask & (1 << bit) != 0 {
+                pending = Some(id);
+                break;
+            }
+            mask |= 1 << bit;
+        }
+        Some((group, mask))
+    })
+}
+
 /// The lowest `n` set bits of `mask` as a new mask. Panics in debug builds
 /// if `mask` has fewer than `n` set bits.
 #[inline]
@@ -197,6 +226,24 @@ mod tests {
         assert_eq!(lowest_n_bits(m, 2), 0b0001_0100);
         assert_eq!(lowest_n_bits(m, 4), m);
         assert_eq!(lowest_n_bits(m, 0), 0);
+    }
+
+    #[test]
+    fn runs_split_on_group_change_and_repeat() {
+        let got: Vec<_> = runs([0u32, 2, 3, 9, 8, 1, 9, 9], 4).collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 0b1101),
+                (2, 0b0011),
+                (0, 0b0010),
+                (2, 0b0010),
+                (2, 0b0010)
+            ]
+        );
+        assert_eq!(runs([], 4).count(), 0);
+        let wide: Vec<_> = runs([0u32, 63, 64], 64).collect();
+        assert_eq!(wide, vec![(0, 1 | 1 << 63), (1, 1)]);
     }
 
     #[test]

@@ -9,8 +9,16 @@
 //!   switch at position `i` is free),
 //! * per-L2 bitmask of free spine uplinks (bit `j` ⇔ the link to slot `j` of
 //!   the matching spine group is free),
+//! * per-leaf and per-L2 bitmasks of uplinks carrying fractional bandwidth,
 //! * per-pod counts of free nodes and of *fully free* leaves (all nodes and
 //!   all uplinks free — the unit of Jigsaw's three-level search).
+//!
+//! Ownership changes one leaf (or one L2 switch) at a time: the run forms
+//! [`SystemState::claim_leaf_nodes`], [`SystemState::claim_leaf_uplinks`],
+//! [`SystemState::claim_spine_uplinks`] and their releases take a slot mask,
+//! check and set each element's owner, and update every derived index once
+//! per run. The per-element calls (`claim_node`, `release_leaf_link`, …) are
+//! one-bit runs through the same code.
 //!
 //! Exclusive ownership (Jigsaw, LaaS) and fractional bandwidth reservation
 //! (LC+S, §5.4.2 of the paper) are both supported; a link is *free* only if
@@ -21,6 +29,7 @@
 //! words), which the EASY-backfilling reservation logic exploits by
 //! replaying future completions on a scratch copy.
 
+use crate::bitset::iter_mask;
 use crate::cast::count_u32;
 use crate::ids::{JobId, L2Id, LeafId, LeafLinkId, NodeId, PodId, SpineLinkId};
 use crate::tree::FatTree;
@@ -92,6 +101,12 @@ pub struct SystemState {
     leaf_uplink_free: Vec<u64>,
     /// Bit `j` set ⇔ this L2 switch's uplink to spine slot `j` is free.
     spine_uplink_free: Vec<u64>,
+    /// Bit `i` set ⇔ this leaf's uplink to L2 position `i` carries
+    /// fractional bandwidth (`leaf_link_bw != 0`).
+    leaf_uplink_shared: Vec<u64>,
+    /// Bit `j` set ⇔ this L2 switch's uplink to spine slot `j` carries
+    /// fractional bandwidth (`spine_link_bw != 0`).
+    spine_uplink_shared: Vec<u64>,
     fully_free_leaves_per_pod: Vec<u32>,
     leaf_fully_free: Vec<bool>,
 
@@ -131,6 +146,8 @@ impl SystemState {
             leaf_node_free: vec![mask_of(tree.nodes_per_leaf()); tree.num_leaves() as usize],
             leaf_uplink_free: vec![leaf_mask; tree.num_leaves() as usize],
             spine_uplink_free: vec![spine_mask; tree.num_l2() as usize],
+            leaf_uplink_shared: vec![0; tree.num_leaves() as usize],
+            spine_uplink_shared: vec![0; tree.num_l2() as usize],
             fully_free_leaves_per_pod: vec![tree.leaves_per_pod(); tree.num_pods() as usize],
             leaf_fully_free: vec![true; tree.num_leaves() as usize],
             min_free_spine_slots_per_pod: vec![tree.spines_per_group(); tree.num_pods() as usize],
@@ -221,19 +238,9 @@ impl SystemState {
     /// nodes on the same leaf (the layout `Allocation::nodes` uses) are
     /// checked with one mask test per leaf run, not one probe per node.
     pub fn all_nodes_free(&self, nodes: &[NodeId]) -> bool {
-        let mut i = 0;
-        while i < nodes.len() {
-            let leaf = self.tree.leaf_of_node(nodes[i]);
-            let mut want = 0u64;
-            while i < nodes.len() && self.tree.leaf_of_node(nodes[i]) == leaf {
-                want |= 1u64 << self.tree.node_slot(nodes[i]);
-                i += 1;
-            }
-            if self.leaf_node_free[leaf.idx()] & want != want {
-                return false;
-            }
-        }
-        true
+        self.tree
+            .node_runs(nodes)
+            .all(|(leaf, want)| self.leaf_node_free[leaf.idx()] & want == want)
     }
 
     /// Total allocated nodes (for instantaneous-utilization sampling).
@@ -268,13 +275,7 @@ impl SystemState {
         }
         self.node_owner[node.idx()] = OFFLINE;
         let leaf = self.tree.leaf_of_node(node);
-        let pod = self.tree.pod_of_leaf(leaf);
-        self.leaf_node_free[leaf.idx()] &= !(1u64 << self.tree.node_slot(node));
-        self.free_nodes_per_leaf[leaf.idx()] -= 1;
-        self.free_nodes_per_pod[pod.idx()] -= 1;
-        self.allocated_nodes += 1;
-        self.note_leaf_nodes_decreased(leaf, pod);
-        self.refresh_leaf_fully_free(leaf);
+        self.nodes_taken(leaf, 1 << self.tree.node_slot(node));
         true
     }
 
@@ -286,13 +287,7 @@ impl SystemState {
         }
         self.node_owner[node.idx()] = FREE;
         let leaf = self.tree.leaf_of_node(node);
-        let pod = self.tree.pod_of_leaf(leaf);
-        self.leaf_node_free[leaf.idx()] |= 1u64 << self.tree.node_slot(node);
-        self.free_nodes_per_leaf[leaf.idx()] += 1;
-        self.free_nodes_per_pod[pod.idx()] += 1;
-        self.allocated_nodes -= 1;
-        self.note_leaf_nodes_increased(leaf, pod);
-        self.refresh_leaf_fully_free(leaf);
+        self.nodes_returned(leaf, 1 << self.tree.node_slot(node));
         true
     }
 
@@ -341,6 +336,22 @@ impl SystemState {
     #[inline]
     pub fn spine_uplink_free_mask(&self, l2: L2Id) -> u64 {
         self.spine_uplink_free[l2.idx()]
+    }
+
+    /// Bitmask of `leaf`'s uplinks carrying fractional bandwidth (bit `i` ⇔
+    /// [`SystemState::leaf_link_bw_used`] of the link to L2 position `i` is
+    /// non-zero).
+    #[inline]
+    pub fn leaf_uplink_shared_mask(&self, leaf: LeafId) -> u64 {
+        self.leaf_uplink_shared[leaf.idx()]
+    }
+
+    /// Bitmask of `l2`'s spine uplinks carrying fractional bandwidth (bit
+    /// `j` ⇔ [`SystemState::spine_link_bw_used`] of the link to group slot
+    /// `j` is non-zero).
+    #[inline]
+    pub fn spine_uplink_shared_mask(&self, l2: L2Id) -> u64 {
+        self.spine_uplink_shared[l2.idx()]
     }
 
     /// The job exclusively owning a leaf↔L2 link, if any.
@@ -393,115 +404,198 @@ impl SystemState {
         }
     }
 
-    // --- node mutation --------------------------------------------------------
+    // --- ownership mutation: run forms ----------------------------------------
 
-    /// Give `node` to `job`.
+    /// Give the nodes at `slots` (bit `s` ⇔ slot `s`) of `leaf` to `job`.
+    /// Each node's owner is checked and set; the free mask, the leaf, pod
+    /// and system counts, the pod-max index and the fully-free flag are
+    /// updated once for the whole run.
     ///
     /// # Panics
-    /// If the node is already owned — allocators must check availability
-    /// first; double allocation is an isolation violation.
-    pub fn claim_node(&mut self, node: NodeId, job: JobId) {
-        let slot = &mut self.node_owner[node.idx()];
-        assert!(
-            *slot == FREE,
-            "isolation violation: {node} already owned by job#{}",
-            *slot
-        );
-        *slot = job.0;
-        let leaf = self.tree.leaf_of_node(node);
-        let pod = self.tree.pod_of_leaf(leaf);
-        self.leaf_node_free[leaf.idx()] &= !(1u64 << self.tree.node_slot(node));
-        self.free_nodes_per_leaf[leaf.idx()] -= 1;
-        self.free_nodes_per_pod[pod.idx()] -= 1;
-        self.allocated_nodes += 1;
-        self.note_leaf_nodes_decreased(leaf, pod);
+    /// If any of the nodes is already owned or offline — allocators must
+    /// check availability first; double allocation is an isolation
+    /// violation.
+    pub fn claim_leaf_nodes(&mut self, leaf: LeafId, slots: u64, job: JobId) {
+        let t = self.tree;
+        for s in iter_mask(slots) {
+            let node = t.node_at(leaf, s);
+            let owner = &mut self.node_owner[node.idx()];
+            assert!(
+                *owner == FREE,
+                "isolation violation: {node} already owned by job#{}",
+                *owner
+            );
+            *owner = job.0;
+        }
+        self.nodes_taken(leaf, slots);
+    }
+
+    /// Release the nodes at `slots` of `leaf`: the inverse of
+    /// [`SystemState::claim_leaf_nodes`].
+    ///
+    /// # Panics
+    /// If any of the nodes is already free (double release is a scheduler
+    /// bug).
+    pub fn release_leaf_nodes(&mut self, leaf: LeafId, slots: u64) {
+        let t = self.tree;
+        for s in iter_mask(slots) {
+            let node = t.node_at(leaf, s);
+            let owner = &mut self.node_owner[node.idx()];
+            assert!(*owner != FREE, "double release of {node}");
+            *owner = FREE;
+        }
+        self.nodes_returned(leaf, slots);
+    }
+
+    /// Exclusively claim `leaf`'s uplinks at the L2 `positions` for `job`.
+    ///
+    /// # Panics
+    /// If any of the links is owned or carries fractional reservations.
+    pub fn claim_leaf_uplinks(&mut self, leaf: LeafId, positions: u64, job: JobId) {
+        let t = self.tree;
+        let shared = self.leaf_uplink_shared[leaf.idx()];
+        for pos in iter_mask(positions) {
+            let link = t.leaf_link(leaf, pos);
+            let owner = &mut self.leaf_link_owner[link.idx()];
+            assert!(
+                *owner == FREE,
+                "isolation violation: {link} already owned by job#{}",
+                *owner
+            );
+            assert!(
+                shared & (1 << pos) == 0,
+                "isolation violation: {link} carries shared bandwidth"
+            );
+            *owner = job.0;
+        }
+        self.leaf_uplink_free[leaf.idx()] &= !positions;
         self.refresh_leaf_fully_free(leaf);
     }
 
-    /// Release `node`.
+    /// Release `leaf`'s exclusively owned uplinks at `positions`.
+    ///
+    /// # Panics
+    /// If any of the links is not owned.
+    pub fn release_leaf_uplinks(&mut self, leaf: LeafId, positions: u64) {
+        let t = self.tree;
+        for pos in iter_mask(positions) {
+            let link = t.leaf_link(leaf, pos);
+            let owner = &mut self.leaf_link_owner[link.idx()];
+            assert!(*owner != FREE, "double release of {link}");
+            *owner = FREE;
+        }
+        self.leaf_uplink_free[leaf.idx()] |= positions;
+        self.refresh_leaf_fully_free(leaf);
+    }
+
+    /// Exclusively claim `l2`'s spine uplinks at the group `slots` for
+    /// `job`.
+    ///
+    /// # Panics
+    /// If any of the links is owned or carries fractional reservations.
+    pub fn claim_spine_uplinks(&mut self, l2: L2Id, slots: u64, job: JobId) {
+        let t = self.tree;
+        let shared = self.spine_uplink_shared[l2.idx()];
+        for slot in iter_mask(slots) {
+            let link = t.spine_link(l2, slot);
+            let owner = &mut self.spine_link_owner[link.idx()];
+            assert!(
+                *owner == FREE,
+                "isolation violation: {link} already owned by job#{}",
+                *owner
+            );
+            assert!(
+                shared & (1 << slot) == 0,
+                "isolation violation: {link} carries shared bandwidth"
+            );
+            *owner = job.0;
+        }
+        self.spine_uplink_free[l2.idx()] &= !slots;
+        // A lowered count can only lower the pod minimum.
+        let pod = t.pod_of_l2(l2);
+        let left = self.spine_uplink_free[l2.idx()].count_ones();
+        let min = &mut self.min_free_spine_slots_per_pod[pod.idx()];
+        *min = (*min).min(left);
+    }
+
+    /// Release `l2`'s exclusively owned spine uplinks at `slots`.
+    ///
+    /// # Panics
+    /// If any of the links is not owned.
+    pub fn release_spine_uplinks(&mut self, l2: L2Id, slots: u64) {
+        let t = self.tree;
+        for slot in iter_mask(slots) {
+            let link = t.spine_link(l2, slot);
+            let owner = &mut self.spine_link_owner[link.idx()];
+            assert!(*owner != FREE, "double release of {link}");
+            *owner = FREE;
+        }
+        let before = self.spine_uplink_free[l2.idx()].count_ones();
+        self.spine_uplink_free[l2.idx()] |= slots;
+        // Only an L2 that was (one of) the pod's minimum can raise it; the
+        // pod's L2 switches are rescanned then.
+        let pod = t.pod_of_l2(l2);
+        if before == self.min_free_spine_slots_per_pod[pod.idx()] {
+            let min = (0..t.l2_per_pod())
+                .map(|pos| self.spine_uplink_free[t.l2_at(pod, pos).idx()].count_ones())
+                .min()
+                .unwrap_or(0);
+            self.min_free_spine_slots_per_pod[pod.idx()] = min;
+        }
+    }
+
+    // --- ownership mutation: one element --------------------------------------
+
+    /// Give `node` to `job`: the one-bit [`SystemState::claim_leaf_nodes`].
+    ///
+    /// # Panics
+    /// If the node is already owned or offline.
+    pub fn claim_node(&mut self, node: NodeId, job: JobId) {
+        let leaf = self.tree.leaf_of_node(node);
+        self.claim_leaf_nodes(leaf, 1 << self.tree.node_slot(node), job);
+    }
+
+    /// Release `node`: the one-bit [`SystemState::release_leaf_nodes`].
     ///
     /// # Panics
     /// If the node is already free (double release is a scheduler bug).
     pub fn release_node(&mut self, node: NodeId) {
-        let slot = &mut self.node_owner[node.idx()];
-        assert!(*slot != FREE, "double release of {node}");
-        *slot = FREE;
         let leaf = self.tree.leaf_of_node(node);
-        let pod = self.tree.pod_of_leaf(leaf);
-        self.leaf_node_free[leaf.idx()] |= 1u64 << self.tree.node_slot(node);
-        self.free_nodes_per_leaf[leaf.idx()] += 1;
-        self.free_nodes_per_pod[pod.idx()] += 1;
-        self.allocated_nodes -= 1;
-        self.note_leaf_nodes_increased(leaf, pod);
-        self.refresh_leaf_fully_free(leaf);
+        self.release_leaf_nodes(leaf, 1 << self.tree.node_slot(node));
     }
 
-    // --- exclusive link mutation ------------------------------------------------
-
-    /// Exclusively claim a leaf↔L2 link for `job`.
+    /// Exclusively claim a leaf↔L2 link for `job`: the one-bit
+    /// [`SystemState::claim_leaf_uplinks`].
     ///
     /// # Panics
     /// If the link is owned or carries fractional reservations.
     pub fn claim_leaf_link(&mut self, link: LeafLinkId, job: JobId) {
-        let slot = &mut self.leaf_link_owner[link.idx()];
-        assert!(
-            *slot == FREE,
-            "isolation violation: {link} already owned by job#{}",
-            *slot
-        );
-        assert!(
-            self.leaf_link_bw[link.idx()] == 0,
-            "isolation violation: {link} carries shared bandwidth"
-        );
-        *slot = job.0;
         let leaf = self.tree.leaf_of_link(link);
-        let pos = self.tree.l2_position_of_link(link);
-        self.leaf_uplink_free[leaf.idx()] &= !(1u64 << pos);
-        self.refresh_leaf_fully_free(leaf);
+        self.claim_leaf_uplinks(leaf, 1 << self.tree.l2_position_of_link(link), job);
     }
 
-    /// Release an exclusively owned leaf↔L2 link.
+    /// Release an exclusively owned leaf↔L2 link: the one-bit
+    /// [`SystemState::release_leaf_uplinks`].
     pub fn release_leaf_link(&mut self, link: LeafLinkId) {
-        let slot = &mut self.leaf_link_owner[link.idx()];
-        assert!(*slot != FREE, "double release of {link}");
-        *slot = FREE;
         let leaf = self.tree.leaf_of_link(link);
-        let pos = self.tree.l2_position_of_link(link);
-        self.leaf_uplink_free[leaf.idx()] |= 1u64 << pos;
-        self.refresh_leaf_fully_free(leaf);
+        self.release_leaf_uplinks(leaf, 1 << self.tree.l2_position_of_link(link));
     }
 
-    /// Exclusively claim an L2↔spine link for `job`.
+    /// Exclusively claim an L2↔spine link for `job`: the one-bit
+    /// [`SystemState::claim_spine_uplinks`].
     ///
     /// # Panics
     /// If the link is owned or carries fractional reservations.
     pub fn claim_spine_link(&mut self, link: SpineLinkId, job: JobId) {
-        let slot = &mut self.spine_link_owner[link.idx()];
-        assert!(
-            *slot == FREE,
-            "isolation violation: {link} already owned by job#{}",
-            *slot
-        );
-        assert!(
-            self.spine_link_bw[link.idx()] == 0,
-            "isolation violation: {link} carries shared bandwidth"
-        );
-        *slot = job.0;
-        let l2 = self.tree.l2_of_spine_link(link);
-        let j = self.tree.spine_slot(self.tree.spine_of_link(link));
-        self.spine_uplink_free[l2.idx()] &= !(1u64 << j);
-        self.note_spine_slots_decreased(l2);
+        let (l2, bit) = self.spine_link_bit(link);
+        self.claim_spine_uplinks(l2, bit, job);
     }
 
-    /// Release an exclusively owned L2↔spine link.
+    /// Release an exclusively owned L2↔spine link: the one-bit
+    /// [`SystemState::release_spine_uplinks`].
     pub fn release_spine_link(&mut self, link: SpineLinkId) {
-        let slot = &mut self.spine_link_owner[link.idx()];
-        assert!(*slot != FREE, "double release of {link}");
-        *slot = FREE;
-        let l2 = self.tree.l2_of_spine_link(link);
-        let j = self.tree.spine_slot(self.tree.spine_of_link(link));
-        self.spine_uplink_free[l2.idx()] |= 1u64 << j;
-        self.note_spine_slots_increased(l2);
+        let (l2, bit) = self.spine_link_bit(link);
+        self.release_spine_uplinks(l2, bit);
     }
 
     // --- fractional link mutation (LC+S) ---------------------------------------
@@ -513,8 +607,7 @@ impl SystemState {
             return false;
         }
         self.leaf_link_bw[link.idx()] += amount;
-        let leaf = self.tree.leaf_of_link(link);
-        self.refresh_leaf_fully_free(leaf);
+        self.note_leaf_link_bw(link);
         true
     }
 
@@ -526,8 +619,7 @@ impl SystemState {
         let used = &mut self.leaf_link_bw[link.idx()];
         assert!(*used >= amount, "bandwidth release underflow on {link}");
         *used -= amount;
-        let leaf = self.tree.leaf_of_link(link);
-        self.refresh_leaf_fully_free(leaf);
+        self.note_leaf_link_bw(link);
     }
 
     /// Reserve `amount` tenths of GB/s on an L2↔spine link. Returns success.
@@ -536,6 +628,7 @@ impl SystemState {
             return false;
         }
         self.spine_link_bw[link.idx()] += amount;
+        self.note_spine_link_bw(link);
         true
     }
 
@@ -547,6 +640,7 @@ impl SystemState {
         let used = &mut self.spine_link_bw[link.idx()];
         assert!(*used >= amount, "bandwidth release underflow on {link}");
         *used -= amount;
+        self.note_spine_link_bw(link);
     }
 
     // --- integrity ---------------------------------------------------------------
@@ -585,14 +679,14 @@ impl SystemState {
                     "free-node mask stale for {leaf}"
                 );
                 let mut mask = 0u64;
-                let mut unshared = true;
+                let mut shared = 0u64;
                 for pos in 0..t.l2_per_pod() {
                     let link = t.leaf_link(leaf, pos);
                     if self.leaf_link_owner[link.idx()] == FREE {
                         mask |= 1 << pos;
                     }
                     if self.leaf_link_bw[link.idx()] != 0 {
-                        unshared = false;
+                        shared |= 1 << pos;
                     }
                 }
                 assert_eq!(
@@ -600,7 +694,13 @@ impl SystemState {
                     mask,
                     "uplink mask stale for {leaf}"
                 );
-                let ff = free == t.nodes_per_leaf() && mask == mask_of(t.l2_per_pod()) && unshared;
+                assert_eq!(
+                    self.leaf_uplink_shared[leaf.idx()],
+                    shared,
+                    "shared-uplink mask stale for {leaf}"
+                );
+                let ff =
+                    free == t.nodes_per_leaf() && mask == mask_of(t.l2_per_pod()) && shared == 0;
                 assert_eq!(
                     self.leaf_fully_free[leaf.idx()],
                     ff,
@@ -632,16 +732,25 @@ impl SystemState {
             for pos in 0..t.l2_per_pod() {
                 let l2 = t.l2_at(pod, pos);
                 let mut mask = 0u64;
+                let mut shared = 0u64;
                 for slot in 0..t.spines_per_group() {
                     let link = t.spine_link(l2, slot);
                     if self.spine_link_owner[link.idx()] == FREE {
                         mask |= 1 << slot;
+                    }
+                    if self.spine_link_bw[link.idx()] != 0 {
+                        shared |= 1 << slot;
                     }
                 }
                 assert_eq!(
                     self.spine_uplink_free[l2.idx()],
                     mask,
                     "spine uplink mask stale for {l2}"
+                );
+                assert_eq!(
+                    self.spine_uplink_shared[l2.idx()],
+                    shared,
+                    "shared spine-uplink mask stale for {l2}"
                 );
                 min_spine = min_spine.min(mask.count_ones());
             }
@@ -654,12 +763,19 @@ impl SystemState {
         assert_eq!(self.allocated_nodes, alloc, "allocated-node count stale");
     }
 
-    /// Update the pod-max index after `leaf`'s free-node count went *down*.
-    /// O(1) unless the leaf was (one of) the pod's maximum, in which case
-    /// the pod's leaves are rescanned.
-    fn note_leaf_nodes_decreased(&mut self, leaf: LeafId, pod: PodId) {
-        let newc = self.free_nodes_per_leaf[leaf.idx()];
-        if newc + 1 == self.max_free_leaf_nodes_per_pod[pod.idx()] {
+    /// The derived-index half of taking the free nodes at `slots` of `leaf`
+    /// (claimed or taken offline): masks and counts once for the run. The
+    /// pod-max index is rescanned only if this leaf was (one of) the pod's
+    /// maximum.
+    fn nodes_taken(&mut self, leaf: LeafId, slots: u64) {
+        let pod = self.tree.pod_of_leaf(leaf);
+        let n = slots.count_ones();
+        let before = self.free_nodes_per_leaf[leaf.idx()];
+        self.leaf_node_free[leaf.idx()] &= !slots;
+        self.free_nodes_per_leaf[leaf.idx()] = before - n;
+        self.free_nodes_per_pod[pod.idx()] -= n;
+        self.allocated_nodes += n;
+        if before == self.max_free_leaf_nodes_per_pod[pod.idx()] {
             let t = self.tree;
             let max = t
                 .leaves_of_pod(pod)
@@ -668,41 +784,52 @@ impl SystemState {
                 .unwrap_or(0);
             self.max_free_leaf_nodes_per_pod[pod.idx()] = max;
         }
+        self.refresh_leaf_fully_free(leaf);
     }
 
-    /// Update the pod-max index after `leaf`'s free-node count went *up*.
-    /// Always O(1): a raised count can only raise the maximum.
-    fn note_leaf_nodes_increased(&mut self, leaf: LeafId, pod: PodId) {
-        let newc = self.free_nodes_per_leaf[leaf.idx()];
-        if newc > self.max_free_leaf_nodes_per_pod[pod.idx()] {
-            self.max_free_leaf_nodes_per_pod[pod.idx()] = newc;
+    /// The inverse of [`SystemState::nodes_taken`]. A raised count can only
+    /// raise the pod maximum, so that update is O(1).
+    fn nodes_returned(&mut self, leaf: LeafId, slots: u64) {
+        let pod = self.tree.pod_of_leaf(leaf);
+        let n = slots.count_ones();
+        self.leaf_node_free[leaf.idx()] |= slots;
+        let now = self.free_nodes_per_leaf[leaf.idx()] + n;
+        self.free_nodes_per_leaf[leaf.idx()] = now;
+        self.free_nodes_per_pod[pod.idx()] += n;
+        self.allocated_nodes -= n;
+        let max = &mut self.max_free_leaf_nodes_per_pod[pod.idx()];
+        *max = (*max).max(now);
+        self.refresh_leaf_fully_free(leaf);
+    }
+
+    /// `link`'s L2 switch and its one-bit slot mask.
+    fn spine_link_bit(&self, link: SpineLinkId) -> (L2Id, u64) {
+        let l2 = self.tree.l2_of_spine_link(link);
+        (l2, 1 << (link.0 - self.tree.spine_link(l2, 0).0))
+    }
+
+    /// Re-derive `link`'s bit of its leaf's shared-uplink mask from the
+    /// reserved bandwidth, then the leaf's fully-free flag.
+    fn note_leaf_link_bw(&mut self, link: LeafLinkId) {
+        let leaf = self.tree.leaf_of_link(link);
+        let bit = 1u64 << self.tree.l2_position_of_link(link);
+        let shared = &mut self.leaf_uplink_shared[leaf.idx()];
+        if self.leaf_link_bw[link.idx()] == 0 {
+            *shared &= !bit;
+        } else {
+            *shared |= bit;
         }
+        self.refresh_leaf_fully_free(leaf);
     }
 
-    /// Update the pod-min index after `l2` lost a free spine uplink.
-    /// Always O(1): a lowered count can only lower the minimum.
-    fn note_spine_slots_decreased(&mut self, l2: L2Id) {
-        let pod = self.tree.pod_of_l2(l2);
-        let newc = self.spine_uplink_free[l2.idx()].count_ones();
-        let min = &mut self.min_free_spine_slots_per_pod[pod.idx()];
-        if newc < *min {
-            *min = newc;
-        }
-    }
-
-    /// Update the pod-min index after `l2` regained a free spine uplink.
-    /// O(1) unless the L2 was (one of) the pod's minimum, in which case the
-    /// pod's L2 switches are rescanned.
-    fn note_spine_slots_increased(&mut self, l2: L2Id) {
-        let t = self.tree;
-        let pod = t.pod_of_l2(l2);
-        let newc = self.spine_uplink_free[l2.idx()].count_ones();
-        if newc - 1 == self.min_free_spine_slots_per_pod[pod.idx()] {
-            let min = (0..t.l2_per_pod())
-                .map(|pos| self.spine_uplink_free[t.l2_at(pod, pos).idx()].count_ones())
-                .min()
-                .unwrap_or(0);
-            self.min_free_spine_slots_per_pod[pod.idx()] = min;
+    /// Re-derive `link`'s bit of its L2's shared-uplink mask.
+    fn note_spine_link_bw(&mut self, link: SpineLinkId) {
+        let (l2, bit) = self.spine_link_bit(link);
+        let shared = &mut self.spine_uplink_shared[l2.idx()];
+        if self.spine_link_bw[link.idx()] == 0 {
+            *shared &= !bit;
+        } else {
+            *shared |= bit;
         }
     }
 
@@ -731,18 +858,19 @@ impl SystemState {
                 self.leaf_node_free[leaf.idx()] = node_mask;
                 self.free_nodes_per_leaf[leaf.idx()] = free;
                 let mut link_mask = 0u64;
-                let mut unshared = true;
+                let mut shared = 0u64;
                 for pos in 0..t.l2_per_pod() {
                     let link = t.leaf_link(leaf, pos);
                     if self.leaf_link_owner[link.idx()] == FREE {
                         link_mask |= 1 << pos;
                     }
                     if self.leaf_link_bw[link.idx()] != 0 {
-                        unshared = false;
+                        shared |= 1 << pos;
                     }
                 }
                 self.leaf_uplink_free[leaf.idx()] = link_mask;
-                let ff = free == t.nodes_per_leaf() && link_mask == all_links && unshared;
+                self.leaf_uplink_shared[leaf.idx()] = shared;
+                let ff = free == t.nodes_per_leaf() && link_mask == all_links && shared == 0;
                 self.leaf_fully_free[leaf.idx()] = ff;
                 pod_ff += u32::from(ff);
             }
@@ -753,12 +881,18 @@ impl SystemState {
             for pos in 0..t.l2_per_pod() {
                 let l2 = t.l2_at(pod, pos);
                 let mut mask = 0u64;
+                let mut shared = 0u64;
                 for slot in 0..t.spines_per_group() {
-                    if self.spine_link_owner[t.spine_link(l2, slot).idx()] == FREE {
+                    let link = t.spine_link(l2, slot);
+                    if self.spine_link_owner[link.idx()] == FREE {
                         mask |= 1 << slot;
+                    }
+                    if self.spine_link_bw[link.idx()] != 0 {
+                        shared |= 1 << slot;
                     }
                 }
                 self.spine_uplink_free[l2.idx()] = mask;
+                self.spine_uplink_shared[l2.idx()] = shared;
                 min_spine = min_spine.min(mask.count_ones());
             }
             self.min_free_spine_slots_per_pod[pod.idx()] = min_spine;
@@ -766,22 +900,15 @@ impl SystemState {
         self.allocated_nodes = alloc;
     }
 
+    /// Re-derive `leaf`'s fully-free flag (and its pod's count) from the
+    /// leaf's masks. Fractional reservations also disqualify a leaf from
+    /// being the unit of a full-leaf allocation.
     fn refresh_leaf_fully_free(&mut self, leaf: LeafId) {
         let t = &self.tree;
         let pod = t.pod_of_leaf(leaf);
-        let all_links = mask_of(t.l2_per_pod());
-        let mut ff = self.free_nodes_per_leaf[leaf.idx()] == t.nodes_per_leaf()
-            && self.leaf_uplink_free[leaf.idx()] == all_links;
-        if ff {
-            // Fractional reservations also disqualify a leaf from being the
-            // unit of a full-leaf allocation.
-            for pos in 0..t.l2_per_pod() {
-                if self.leaf_link_bw[t.leaf_link(leaf, pos).idx()] != 0 {
-                    ff = false;
-                    break;
-                }
-            }
-        }
+        let ff = self.free_nodes_per_leaf[leaf.idx()] == t.nodes_per_leaf()
+            && self.leaf_uplink_free[leaf.idx()] == mask_of(t.l2_per_pod())
+            && self.leaf_uplink_shared[leaf.idx()] == 0;
         let was = self.leaf_fully_free[leaf.idx()];
         if was != ff {
             self.leaf_fully_free[leaf.idx()] = ff;
@@ -947,6 +1074,84 @@ mod tests {
         s.claim_node(NodeId(0), JobId(1));
         s.release_node(NodeId(0));
         s.release_node(NodeId(0));
+    }
+
+    #[test]
+    fn run_forms_update_indices_once_per_run() {
+        let mut s = fresh(); // 2 nodes/leaf, 2 L2/pod, 2 spine slots
+        let t = *s.tree();
+        let leaf = LeafId(2);
+        let pod = t.pod_of_leaf(leaf);
+        s.claim_leaf_nodes(leaf, 0b11, JobId(4));
+        assert_eq!(s.free_nodes_on_leaf(leaf), 0);
+        assert_eq!(s.free_nodes_in_pod(pod), 2);
+        assert_eq!(s.max_free_nodes_on_leaf_in_pod(pod), 2);
+        assert_eq!(s.fully_free_leaves_in_pod(pod), 1);
+        s.claim_leaf_uplinks(leaf, 0b11, JobId(4));
+        let l2 = t.l2_at(pod, 1);
+        s.claim_spine_uplinks(l2, 0b11, JobId(4));
+        assert_eq!(s.min_free_spine_slots_in_pod(pod), 0);
+        s.assert_consistent();
+        s.release_spine_uplinks(l2, 0b01);
+        assert_eq!(s.min_free_spine_slots_in_pod(pod), 1);
+        s.release_spine_uplinks(l2, 0b10);
+        s.release_leaf_uplinks(leaf, 0b11);
+        s.release_leaf_nodes(leaf, 0b11);
+        s.assert_consistent();
+        assert_eq!(s, fresh());
+    }
+
+    #[test]
+    #[should_panic(expected = "isolation violation: NodeId(5) already owned")]
+    fn run_claim_over_an_owned_node_panics() {
+        let mut s = fresh();
+        s.claim_node(NodeId(5), JobId(1));
+        s.claim_leaf_nodes(LeafId(2), 0b11, JobId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "double release of NodeId(4)")]
+    fn run_release_of_a_free_node_panics() {
+        let mut s = fresh();
+        s.claim_node(NodeId(5), JobId(1));
+        s.release_leaf_nodes(LeafId(2), 0b11);
+    }
+
+    #[test]
+    #[should_panic(expected = "double release")]
+    fn double_release_spine_uplinks_panics() {
+        let mut s = fresh();
+        s.claim_spine_uplinks(L2Id(1), 0b01, JobId(1));
+        s.release_spine_uplinks(L2Id(1), 0b01);
+        s.release_spine_uplinks(L2Id(1), 0b01);
+    }
+
+    #[test]
+    #[should_panic(expected = "carries shared bandwidth")]
+    fn run_claim_of_a_shared_spine_link_panics() {
+        let mut s = fresh();
+        assert!(s.try_reserve_spine_link_bw(s.tree().spine_link(L2Id(3), 1), 5));
+        s.claim_spine_uplinks(L2Id(3), 0b11, JobId(1));
+    }
+
+    #[test]
+    fn shared_masks_track_fractional_bandwidth() {
+        let mut s = fresh();
+        let t = *s.tree();
+        let link = t.leaf_link(LeafId(1), 1);
+        let spine = t.spine_link(L2Id(2), 0);
+        assert!(s.try_reserve_leaf_link_bw(link, 10));
+        assert!(s.try_reserve_spine_link_bw(spine, 10));
+        assert_eq!(s.leaf_uplink_shared_mask(LeafId(1)), 0b10);
+        assert_eq!(s.spine_uplink_shared_mask(L2Id(2)), 0b01);
+        assert!(!s.is_leaf_fully_free(LeafId(1)));
+        s.assert_consistent();
+        s.release_leaf_link_bw(link, 10);
+        s.release_spine_link_bw(spine, 10);
+        assert_eq!(s.leaf_uplink_shared_mask(LeafId(1)), 0);
+        assert_eq!(s.spine_uplink_shared_mask(L2Id(2)), 0);
+        assert!(s.is_leaf_fully_free(LeafId(1)));
+        assert_eq!(s, fresh());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! fat-tree. The topology is fully regular, so adjacency is computed rather
 //! than stored.
 
+use crate::bitset::runs;
 use crate::error::TopologyError;
 use crate::ids::{L2Id, LeafId, LeafLinkId, NodeId, PodId, SpineId, SpineLinkId};
 use crate::params::FatTreeParams;
@@ -271,6 +272,30 @@ impl FatTree {
         let slot = link.0 % self.params.spines_per_group;
         self.spine_at(self.l2_position(l2), slot)
     }
+
+    // --- runs ---------------------------------------------------------------
+
+    /// `nodes` as per-leaf runs `(leaf, slot mask)`: consecutive nodes of one
+    /// leaf share a run (see [`runs`] for where a run ends).
+    pub fn node_runs<'a>(&self, nodes: &'a [NodeId]) -> impl Iterator<Item = (LeafId, u64)> + 'a {
+        runs(nodes.iter().map(|n| n.0), self.params.nodes_per_leaf).map(|(g, m)| (LeafId(g), m))
+    }
+
+    /// `links` as per-leaf runs `(leaf, L2-position mask)`.
+    pub fn leaf_link_runs<'a>(
+        &self,
+        links: &'a [LeafLinkId],
+    ) -> impl Iterator<Item = (LeafId, u64)> + 'a {
+        runs(links.iter().map(|l| l.0), self.params.l2_per_pod).map(|(g, m)| (LeafId(g), m))
+    }
+
+    /// `links` as per-L2 runs `(l2, spine-slot mask)`.
+    pub fn spine_link_runs<'a>(
+        &self,
+        links: &'a [SpineLinkId],
+    ) -> impl Iterator<Item = (L2Id, u64)> + 'a {
+        runs(links.iter().map(|l| l.0), self.params.spines_per_group).map(|(g, m)| (L2Id(g), m))
+    }
 }
 
 #[cfg(test)]
@@ -388,5 +413,24 @@ mod tests {
         }
         // Every spine has exactly `pods` links, one per pod.
         assert!(per_spine.iter().all(|&c| c == t.num_pods()));
+    }
+
+    #[test]
+    fn runs_group_by_leaf_and_l2() {
+        let t = tiny();
+        let nodes = [NodeId(0), NodeId(1), NodeId(5), NodeId(4)];
+        let got: Vec<_> = t.node_runs(&nodes).collect();
+        assert_eq!(got, vec![(LeafId(0), 0b11), (LeafId(2), 0b11)]);
+        let links = [t.leaf_link(LeafId(3), 1), t.leaf_link(LeafId(3), 0)];
+        let got: Vec<_> = t.leaf_link_runs(&links).collect();
+        assert_eq!(got, vec![(LeafId(3), 0b11)]);
+        let l2 = t.l2_at(PodId(1), 1);
+        let links = [t.spine_link(l2, 1), t.spine_link(l2, 1)];
+        let got: Vec<_> = t.spine_link_runs(&links).collect();
+        assert_eq!(
+            got,
+            vec![(l2, 0b10), (l2, 0b10)],
+            "a repeat opens a new run"
+        );
     }
 }

@@ -2,7 +2,8 @@
 //! bijection, and the incrementally maintained allocation-state indices
 //! agree with recomputation after arbitrary operation sequences.
 
-use jigsaw_topology::ids::{JobId, LeafId, NodeId};
+use jigsaw_topology::bitset::iter_mask;
+use jigsaw_topology::ids::{JobId, L2Id, LeafId, NodeId};
 use jigsaw_topology::{FatTree, FatTreeParams, SystemState};
 use proptest::prelude::*;
 
@@ -241,5 +242,132 @@ proptest! {
         }
         prop_assert_eq!(state.leaf_link_bw_used(link), 0);
         state.assert_consistent();
+    }
+
+    /// The run forms and the one-bit calls are one code path: random
+    /// claim/release sequences applied as runs to one state and bit by bit
+    /// to another leave the two equal, with every derived index (the
+    /// shared-bandwidth masks included) matching a recount at each step.
+    #[test]
+    fn run_forms_match_one_bit_calls(ops in prop::collection::vec((0u8..8, 0u32..1024, any::<u64>()), 1..120)) {
+        let tree = FatTree::maximal(6).unwrap(); // 3 nodes/leaf, 3 L2/pod, 3 spine slots
+        let mut runs = SystemState::new(tree);
+        let mut bits = runs.clone();
+        // Held runs: (layer, leaf or L2 index, mask); layer 0 nodes,
+        // 1 leaf uplinks, 2 spine uplinks.
+        let mut held: Vec<(u8, u32, u64)> = Vec::new();
+        let mut reserved: Vec<(bool, u32, u16)> = Vec::new();
+        for (op, k, mask) in ops {
+            let job = JobId(k % 7);
+            match op {
+                0 => {
+                    let leaf = LeafId(k % tree.num_leaves());
+                    let slots = mask & runs.leaf_free_node_mask(leaf);
+                    if slots != 0 {
+                        runs.claim_leaf_nodes(leaf, slots, job);
+                        for s in iter_mask(slots) {
+                            bits.claim_node(tree.node_at(leaf, s), job);
+                        }
+                        held.push((0, leaf.0, slots));
+                    }
+                }
+                1 => {
+                    let leaf = LeafId(k % tree.num_leaves());
+                    let positions = mask
+                        & runs.leaf_uplink_free_mask(leaf)
+                        & !runs.leaf_uplink_shared_mask(leaf);
+                    if positions != 0 {
+                        runs.claim_leaf_uplinks(leaf, positions, job);
+                        for pos in iter_mask(positions) {
+                            bits.claim_leaf_link(tree.leaf_link(leaf, pos), job);
+                        }
+                        held.push((1, leaf.0, positions));
+                    }
+                }
+                2 => {
+                    let l2 = L2Id(k % tree.num_l2());
+                    let slots = mask
+                        & runs.spine_uplink_free_mask(l2)
+                        & !runs.spine_uplink_shared_mask(l2);
+                    if slots != 0 {
+                        runs.claim_spine_uplinks(l2, slots, job);
+                        for s in iter_mask(slots) {
+                            bits.claim_spine_link(tree.spine_link(l2, s), job);
+                        }
+                        held.push((2, l2.0, slots));
+                    }
+                }
+                3 | 4 if !held.is_empty() => {
+                    // Release part (op 3) or all (op 4) of a held run.
+                    let i = k as usize % held.len();
+                    let (layer, g, run) = held[i];
+                    let part = if op == 3 && mask & run != 0 { mask & run } else { run };
+                    match layer {
+                        0 => {
+                            runs.release_leaf_nodes(LeafId(g), part);
+                            for s in iter_mask(part) {
+                                bits.release_node(tree.node_at(LeafId(g), s));
+                            }
+                        }
+                        1 => {
+                            runs.release_leaf_uplinks(LeafId(g), part);
+                            for pos in iter_mask(part) {
+                                bits.release_leaf_link(tree.leaf_link(LeafId(g), pos));
+                            }
+                        }
+                        _ => {
+                            runs.release_spine_uplinks(L2Id(g), part);
+                            for s in iter_mask(part) {
+                                bits.release_spine_link(tree.spine_link(L2Id(g), s));
+                            }
+                        }
+                    }
+                    if part == run {
+                        held.swap_remove(i);
+                    } else {
+                        held[i].2 &= !part;
+                    }
+                }
+                5 => {
+                    // Fractional bandwidth on a leaf or spine link.
+                    let amount = u16::try_from(mask % 20 + 1).unwrap();
+                    let leaf_layer = mask & (1 << 40) != 0;
+                    let (ok_runs, ok_bits) = if leaf_layer {
+                        let link = jigsaw_topology::ids::LeafLinkId(k % tree.num_leaf_links());
+                        (runs.try_reserve_leaf_link_bw(link, amount), bits.try_reserve_leaf_link_bw(link, amount))
+                    } else {
+                        let link = jigsaw_topology::ids::SpineLinkId(k % tree.num_spine_links());
+                        (runs.try_reserve_spine_link_bw(link, amount), bits.try_reserve_spine_link_bw(link, amount))
+                    };
+                    prop_assert_eq!(ok_runs, ok_bits);
+                    if ok_runs {
+                        let n = if leaf_layer { tree.num_leaf_links() } else { tree.num_spine_links() };
+                        reserved.push((leaf_layer, k % n, amount));
+                    }
+                }
+                6 if !reserved.is_empty() => {
+                    let (leaf_layer, id, amount) = reserved.swap_remove(k as usize % reserved.len());
+                    for s in [&mut runs, &mut bits] {
+                        if leaf_layer {
+                            s.release_leaf_link_bw(jigsaw_topology::ids::LeafLinkId(id), amount);
+                        } else {
+                            s.release_spine_link_bw(jigsaw_topology::ids::SpineLinkId(id), amount);
+                        }
+                    }
+                }
+                7 => {
+                    // Failure injection on a free node, or its repair.
+                    let node = NodeId(k % tree.num_nodes());
+                    if runs.is_node_offline(node) {
+                        prop_assert!(runs.set_node_online(node) && bits.set_node_online(node));
+                    } else if runs.is_node_free(node) {
+                        prop_assert!(runs.set_node_offline(node) && bits.set_node_offline(node));
+                    }
+                }
+                _ => {}
+            }
+            runs.assert_consistent();
+            prop_assert_eq!(&runs, &bits);
+        }
     }
 }

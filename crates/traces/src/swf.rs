@@ -108,11 +108,16 @@ pub fn parse_swf_report(
                 reason,
             });
         };
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() < 8 {
-            skip(SwfSkipReason::TooFewFields {
-                found: fields.len(),
-            });
+        // Only the first 8 fields are read; a line with fewer has exactly
+        // `found` of them. A fixed array keeps the parse allocation-free.
+        let mut fields = [""; 8];
+        let mut found = 0;
+        for (slot, field) in fields.iter_mut().zip(line.split_whitespace()) {
+            *slot = field;
+            found += 1;
+        }
+        if found < 8 {
+            skip(SwfSkipReason::TooFewFields { found });
             continue;
         }
         let submit: f64 = fields[1].parse().unwrap_or(-1.0);
