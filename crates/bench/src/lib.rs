@@ -2,10 +2,11 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! Jigsaw paper's evaluation (Smith & Lowenthal, HPDC 2021, §5–6). One
-//! binary per artifact:
+//! binary, `jigsaw-bench <experiment> [flags]`, dispatches over
+//! [`experiments::EXPERIMENTS`]:
 //!
-//! | binary | artifact |
-//! |--------|----------|
+//! | experiment | artifact |
+//! |------------|----------|
 //! | `table1_traces`     | Table 1 — trace characteristics |
 //! | `fig6_utilization`  | Fig. 6 — average system utilization, 5 schemes × 9 traces |
 //! | `table2_inst_util`  | Table 2 — instantaneous-utilization buckets on Thunder |
@@ -18,13 +19,20 @@
 //! | `backfill_policies` | extension — FIFO vs. EASY vs. conservative backfilling |
 //! | `estimate_error`    | extension — runtime-estimate sensitivity |
 //! | `failure_resilience`| extension — node-failure injection sweep |
-//! | `run_all`           | everything above, results to `results/*.json` |
+//! | `variance_check`    | Fig. 6 across five trace seeds |
+//! | `scale_sweep`       | Fig. 6's Thunder column across trace scales |
+//! | `workload_v2`       | DESIGN.md §13 — DAG and reservation workloads |
+//! | `alloc_trajectory`  | `BENCH_alloc.json` — allocation latency, gated |
+//! | `defrag_recovery`   | `BENCH_defrag.json` — defragmentation recovery, gated |
+//! | `serve_saturation`  | `BENCH_serve.json` — daemon throughput, gated |
+//! | `all`               | the first fourteen above, results to `results/*.json` |
 //!
-//! Every binary accepts `--scale <f>` (default 0.02) for the trace job
-//! counts and `--full` for paper scale, plus `--seed <n>` and `--jobs <n>`.
-//! Experiments fan their independent cells out through [`fan_out`]:
-//! results come back in submission order, so reports are byte-identical
-//! for any worker count.
+//! Every experiment accepts `--scale <f>` (default 0.02) for the trace
+//! job counts, `--full` for paper scale or `--smoke` for a quick run, plus
+//! `--seed <n>`, `--out <dir>` and `--jobs <n>`; the trajectories also
+//! take `--floor <file>` (see [`gate`]). Experiments fan their independent
+//! cells out through [`fan_out`]: results come back in submission order,
+//! so reports are byte-identical for any worker count.
 //!
 //! ```
 //! use jigsaw_bench::fan_out;
@@ -37,6 +45,8 @@
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod experiments;
+pub mod gate;
 pub mod registry;
 pub mod report;
 pub mod runner;
@@ -44,15 +54,15 @@ pub mod scenarios;
 pub mod sweep;
 
 pub use args::HarnessArgs;
-pub use registry::{paper_traces, trace_by_name, TraceSpec, WORKLOAD_V2};
+pub use registry::{trace_by_name, TraceSpec, WORKLOAD_V2};
 pub use runner::{run_grid, simulate, GridCell, GridResult};
 pub use sweep::{run_sweep, SweepRun};
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A cell whose task panicked, named so a harness binary can report it
-/// and exit nonzero instead of unwinding through a half-written report.
+/// A cell whose task panicked, named so an experiment can report it and
+/// fail instead of unwinding through a half-written report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// Position of the cell in the submitted slice.
@@ -74,6 +84,12 @@ impl std::fmt::Display for CellFailure {
 }
 
 impl std::error::Error for CellFailure {}
+
+impl From<CellFailure> for String {
+    fn from(failure: CellFailure) -> String {
+        failure.to_string()
+    }
+}
 
 /// Run `task` over every cell on at most `jobs` threads (the caller's
 /// thread is one of them, so `jobs <= 1` runs inline) and return the
@@ -124,15 +140,6 @@ where
             })
         })
         .collect()
-}
-
-/// Unwrap a harness result or print the failing cell to stderr and exit
-/// 1, the shared failure policy of every experiment binary.
-pub fn or_exit<T>(outcome: Result<T, CellFailure>) -> T {
-    outcome.unwrap_or_else(|failure| {
-        eprintln!("error: {failure}");
-        std::process::exit(1);
-    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

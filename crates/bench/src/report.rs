@@ -3,19 +3,32 @@
 use crate::runner::GridResult;
 use jigsaw_core::Scheme;
 use jigsaw_sim::Scenario;
-use std::fs;
+use serde::Serialize;
 use std::path::Path;
 
-/// Write results as pretty JSON under `out_dir/name.json`.
-pub fn write_json(out_dir: &str, name: &str, results: &[GridResult]) -> std::io::Result<()> {
-    fs::create_dir_all(out_dir)?;
+/// Write `value` as pretty JSON to `out_dir/name.json`. The `BENCH_*`
+/// trajectories end in a newline, as the committed floors do.
+pub fn write_json<T: Serialize + ?Sized>(
+    out_dir: &str,
+    name: &str,
+    value: &T,
+) -> Result<(), String> {
     let path = Path::new(out_dir).join(format!("{name}.json"));
-    fs::write(
-        &path,
-        serde_json::to_string_pretty(results).expect("serializable"),
-    )?;
+    let mut text = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+    if name.starts_with("BENCH_") {
+        text.push('\n');
+    }
+    std::fs::create_dir_all(out_dir)
+        .and_then(|()| std::fs::write(&path, text))
+        .map_err(|e| format!("write {}: {e}", path.display()))?;
     eprintln!("wrote {}", path.display());
     Ok(())
+}
+
+/// `x` rounded to `decimals` places the way `{:.N}` prints it, so a JSON
+/// field reads exactly as the text report does.
+pub fn rounded(x: f64, decimals: usize) -> f64 {
+    format!("{x:.decimals$}").parse().unwrap_or(x)
 }
 
 /// Find the result for (trace, scheme, scenario).
@@ -123,11 +136,23 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let dir = std::env::temp_dir().join("jigsaw_bench_test");
+        let dir = std::env::temp_dir().join(format!("jigsaw-bench-report-{}", std::process::id()));
         let results = vec![fake("A", Scheme::Jigsaw, Scenario::None)];
-        write_json(dir.to_str().unwrap(), "test", &results).unwrap();
-        let text = std::fs::read_to_string(dir.join("test.json")).unwrap();
-        let back: Vec<GridResult> = serde_json::from_str(&text).unwrap();
+        let written = write_json(dir.to_str().unwrap(), "test", &results).and_then(|()| {
+            std::fs::read_to_string(dir.join("test.json")).map_err(|e| e.to_string())
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        let back: Vec<GridResult> = serde_json::from_str(&written.unwrap()).unwrap();
         assert_eq!(back[0].trace, "A");
+    }
+
+    #[test]
+    fn rounding_matches_the_text_report() {
+        assert_eq!(rounded(33.333, 1), 33.3);
+        assert_eq!(serde_json::to_string(&rounded(90.0, 1)).unwrap(), "90.0");
+        assert_eq!(
+            serde_json::to_string(&rounded(2.95, 1)).unwrap(),
+            format!("{:.1}", 2.95)
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Shared machine-occupancy scenarios for the allocation benchmarks.
 //!
 //! The Criterion micro-benchmark (`benches/alloc_hot_path.rs`) and the
-//! committed perf-trajectory binaries (`alloc_trajectory`,
+//! committed perf trajectories (`alloc_trajectory`,
 //! `defrag_recovery`) measure the same three regimes, so the setup lives
 //! here once:
 //!
@@ -25,7 +25,7 @@ use jigsaw_topology::{FatTree, SystemState};
 pub type PreparedState = (SystemState, Box<dyn Allocator>, Vec<Allocation>);
 
 /// Churn the machine to roughly `target` occupancy with a deterministic
-/// mixed job stream (same stream as the `alloc_latency` bench).
+/// mixed job stream.
 pub fn churned(tree: &FatTree, scheme: Scheme, target: f64) -> PreparedState {
     let mut state = SystemState::new(*tree);
     let mut alloc = scheme.make(tree);

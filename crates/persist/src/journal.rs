@@ -309,13 +309,13 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::TempDir;
     use jigsaw_core::Shape;
     use jigsaw_topology::ids::{LeafId, NodeId};
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("jigsaw-journal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn tmpdir(tag: &str) -> TempDir {
+        let dir = TempDir::new(&format!("jigsaw-journal-{tag}"));
+        std::fs::create_dir_all(&*dir).unwrap();
         dir
     }
 
@@ -376,7 +376,6 @@ mod tests {
         let scan = Journal::scan(&path).unwrap();
         assert_eq!(scan.records, records);
         assert!(!scan.torn());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -409,7 +408,6 @@ mod tests {
         );
         let scan = Journal::scan(&batched).unwrap();
         assert_eq!(scan.records, records);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -428,7 +426,6 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].seq, 1);
         assert!(scan.torn());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -456,7 +453,6 @@ mod tests {
         let scan = Journal::scan(&path).unwrap();
         assert_eq!(scan.records.len(), 3);
         assert!(!scan.torn());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -477,7 +473,6 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].seq, 1);
         assert!(scan.torn());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -492,7 +487,6 @@ mod tests {
         let scan = Journal::scan(&path).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].seq, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -501,6 +495,5 @@ mod tests {
         let scan = Journal::scan(&dir.join("nope.wal")).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.file_len, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1123,10 +1123,33 @@ mod tests {
     use jigsaw_core::{JigsawAllocator, JobRequest};
     use std::path::PathBuf;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("jigsaw-persist-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A scratch directory named for this process, removed on drop — also
+    /// while a failing or `#[should_panic]` test unwinds.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(name: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("jigsaw-persist-{tag}"))
     }
 
     fn tree() -> FatTree {
@@ -1157,7 +1180,6 @@ mod tests {
         assert!(ps.is_durable());
         assert_eq!(report, RecoveryReport::default());
         assert_eq!(ps.state().allocated_node_count(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1179,7 +1201,6 @@ mod tests {
         assert_eq!(report.records_replayed, 4);
         assert_eq!(report.live_jobs, 2);
         assert!(audit_system(ps2.state(), &ps2.live_allocations()).is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1206,7 +1227,6 @@ mod tests {
         assert_eq!(report.snapshot_seq, Some(4));
         // Only the snapshot marker remains in the journal.
         assert_eq!(report.records_replayed, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1236,7 +1256,6 @@ mod tests {
         assert_eq!(report.snapshot_seq, Some(2));
         assert_eq!(report.records_skipped, 2, "journal suffix already covered");
         assert_eq!(report.records_replayed, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1260,7 +1279,6 @@ mod tests {
         assert_eq!(ps2.state(), &want);
         assert_eq!(report.torn_bytes_discarded, 5);
         assert_eq!(report.records_replayed, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1290,7 +1308,6 @@ mod tests {
             Err(PersistError::ReplayConflict { seq: 2, .. }) => {}
             other => panic!("expected ReplayConflict at seq 2, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1312,7 +1329,6 @@ mod tests {
             Err(PersistError::AuditFailed { errors }) => assert!(!errors.is_empty()),
             other => panic!("expected AuditFailed, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1327,7 +1343,6 @@ mod tests {
             Err(PersistError::TopologyMismatch { .. }) => {}
             other => panic!("expected TopologyMismatch, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1348,7 +1363,6 @@ mod tests {
         drop(ps);
         let (_, report) = PersistentState::open(&dir, tree()).unwrap();
         assert_eq!(report.snapshot_seq, Some(4));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1382,7 +1396,6 @@ mod tests {
         assert_eq!(ps2.state(), &want_state);
         assert_eq!(ps2.live(), &want_live);
         assert_eq!(report.records_replayed, 3);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1401,7 +1414,6 @@ mod tests {
         assert_eq!(ps.obs.fsync_ns().count(), 1);
         assert_eq!(ps.obs.batch_records().count(), 1);
         assert_eq!(ps.obs.batch_records().sum(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1421,7 +1433,6 @@ mod tests {
         assert_eq!(ps2.state(), &want);
         assert_eq!(report.snapshot_seq, Some(2));
         assert_eq!(report.live_jobs, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1441,7 +1452,6 @@ mod tests {
         assert_eq!(report.live_jobs, 1);
         assert!(ps2.live().contains_key(&1));
         assert!(!ps2.live().contains_key(&2));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1453,7 +1463,6 @@ mod tests {
         let mut a = JigsawAllocator::new(&tree());
         grant(&mut ps, &mut a, 1, 4);
         ps.set_sync_policy(SyncPolicy::PerRecord);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1493,7 +1502,6 @@ mod tests {
                 EventKind::Snapshot
             ]
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1513,7 +1521,6 @@ mod tests {
         assert_eq!(ps.commit_release(JobId(42)).unwrap(), Released::Unknown);
         assert_eq!(ps.last_seq(), 0);
         assert_eq!(std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1540,7 +1547,6 @@ mod tests {
         assert_eq!(report.queued_jobs, 0);
         assert_eq!(report.live_jobs, 1);
         assert!(ps3.live().contains_key(&2));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1573,7 +1579,6 @@ mod tests {
         let (_, report) = PersistentState::open(&dir, tree()).unwrap();
         assert_eq!(report.reserved_jobs, 0);
         assert_eq!(report.allocated_nodes, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1596,7 +1601,6 @@ mod tests {
         assert_eq!(report.reserved_jobs, 1);
         assert_eq!(ps2.queued()[&9].parents, vec![1, 3]);
         assert_eq!(ps2.reserved()[&4].alloc.nodes.len(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1610,7 +1614,6 @@ mod tests {
         drop(ps);
         let (_, report) = PersistentState::open(&dir, tree()).unwrap();
         assert_eq!(report.queued_jobs, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1635,7 +1638,6 @@ mod tests {
             Err(PersistError::ReplayConflict { seq: 2, .. }) => {}
             other => panic!("expected ReplayConflict at seq 2, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1664,7 +1666,6 @@ mod tests {
         assert_eq!(ps2.state(), &want);
         assert_eq!(ps2.live()[&1].nodes, to.nodes);
         assert!(audit_system(ps2.state(), &ps2.live_allocations()).is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1696,7 +1697,6 @@ mod tests {
             "the vacated placement must be free after replay"
         );
         assert!(audit_system(ps2.state(), &ps2.live_allocations()).is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1725,7 +1725,6 @@ mod tests {
             Err(PersistError::ReplayConflict { seq: 2, .. }) => {}
             other => panic!("expected ReplayConflict at seq 2, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1754,6 +1753,5 @@ mod tests {
         assert_eq!(state, want);
         assert_eq!(live.len(), 2);
         assert_eq!(report.live_jobs, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -159,13 +159,11 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::TempDir;
     use jigsaw_topology::FatTree;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("jigsaw-snapshot-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmpdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("jigsaw-snapshot-{tag}"))
     }
 
     fn snap(last_seq: u64) -> Snapshot {
@@ -195,7 +193,6 @@ mod tests {
         store.save(&snap(12)).unwrap();
         let (loaded, _) = store.load_latest().unwrap();
         assert_eq!(loaded.unwrap().last_seq, 12);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -208,7 +205,6 @@ mod tests {
         let (loaded, outcome) = store.load_latest().unwrap();
         assert_eq!(loaded.unwrap().last_seq, 5);
         assert_eq!(outcome.corrupt_skipped, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -218,7 +214,6 @@ mod tests {
         let p = store.save(&snap(5)).unwrap();
         fs::write(&p, b"garbage").unwrap();
         assert!(store.load_latest().is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -234,6 +229,5 @@ mod tests {
         assert!(!store.path_for(1).exists());
         assert!(!store.path_for(2).exists());
         assert!(store.path_for(3).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
