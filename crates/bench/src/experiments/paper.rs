@@ -1,6 +1,6 @@
 //! The paper's own artifacts: Tables 1–3 and Figures 6–8 (§5).
 
-use crate::registry::SPECS;
+use crate::registry::PAPER_TRACES;
 use crate::report::{cell, norm, pct, table, write_json};
 use crate::runner::product;
 use crate::{fan_out, run_grid, trace_by_name, GridResult, HarnessArgs};
@@ -39,8 +39,7 @@ pub(super) fn table1_traces(args: &HarnessArgs) -> Result<(), String> {
         "Table 1 — trace characteristics (scale {}; paper job counts at --full)\n",
         args.scale
     );
-    let names: Vec<&str> = SPECS.iter().map(|s| s.name).collect();
-    let summaries: Vec<TraceSummary> = fan_out(args.jobs, &names, |name| {
+    let summaries: Vec<TraceSummary> = fan_out(args.jobs, &PAPER_TRACES, |name| {
         let (trace, _) = trace_by_name(name, args.scale, args.seed);
         TraceSummary::of(&trace)
     })?;
@@ -59,10 +58,9 @@ pub(super) fn table1_traces(args: &HarnessArgs) -> Result<(), String> {
 /// LaaS below both (internal fragmentation), TA lowest (external
 /// fragmentation); worst case for everyone on Atlas (whole-machine jobs).
 pub(super) fn fig6_utilization(args: &HarnessArgs) -> Result<(), String> {
-    let names: Vec<&str> = SPECS.iter().map(|s| s.name).collect();
-    let results = grid(args, &names, &Scheme::ALL, &[Scenario::None], false)?;
+    let results = grid(args, &PAPER_TRACES, &Scheme::ALL, &[Scenario::None], false)?;
     let columns: Vec<&str> = Scheme::ALL.iter().map(|k| k.name()).collect();
-    let rows: Vec<(String, Vec<String>)> = names
+    let rows: Vec<(String, Vec<String>)> = PAPER_TRACES
         .iter()
         .map(|&trace| {
             let values = Scheme::ALL

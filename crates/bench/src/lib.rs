@@ -54,7 +54,7 @@ pub mod scenarios;
 pub mod sweep;
 
 pub use args::HarnessArgs;
-pub use registry::{trace_by_name, TraceSpec, WORKLOAD_V2};
+pub use registry::{trace_by_name, WORKLOAD_V2};
 pub use runner::{run_grid, simulate, GridCell, GridResult};
 pub use sweep::{run_sweep, SweepRun};
 

@@ -4,7 +4,6 @@
 //! ring) and emits it as JSON.
 
 use crate::args::{fail, Flags};
-use crate::cmd_trace::builtin_trace;
 use jigsaw_core::Scheme;
 use jigsaw_obs::Registry;
 use jigsaw_sim::{SimConfig, Simulation};
@@ -62,11 +61,8 @@ pub fn run(args: &[String]) -> i32 {
             Err(e) => return fail(&format!("{trace_arg}: {e}")),
         }
     } else {
-        match builtin_trace(trace_arg, scale, seed) {
-            Some((t, tree)) => {
-                let radix = tree.num_pods(); // maximal tree: radix == pods
-                (t, radix)
-            }
+        match jigsaw_traces::builtin::generate(trace_arg, scale, seed) {
+            Some(generated) => generated,
             None => return fail(&format!("unknown built-in trace `{trace_arg}`")),
         }
     };

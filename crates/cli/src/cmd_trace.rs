@@ -3,37 +3,8 @@
 
 use crate::args::{fail, Flags};
 use jigsaw_topology::FatTree;
-use jigsaw_traces::llnl::{atlas_model, cab_model, thunder_model, CabMonth};
 use jigsaw_traces::stats::TraceSummary;
 use jigsaw_traces::swf::to_swf;
-use jigsaw_traces::synth::{synth, PAPER_JOBS};
-use jigsaw_traces::workload::{dag_fanout, dag_pipeline, reserved_mix};
-use jigsaw_traces::Trace;
-
-/// Resolve a built-in trace name to (trace, evaluation cluster). Mirrors
-/// the experiment registry (§5.4.3 of the paper) without depending on the
-/// bench crate.
-pub fn builtin_trace(name: &str, scale: f64, seed: u64) -> Option<(Trace, FatTree)> {
-    let n_synth = ((PAPER_JOBS as f64) * scale).round().max(1.0) as usize;
-    let (trace, radix) = match name {
-        "Synth-16" => (synth(16, n_synth, seed), 16),
-        "Synth-22" => (synth(22, n_synth, seed + 1), 22),
-        "Synth-28" => (synth(28, n_synth, seed + 2), 28),
-        "Thunder" => (thunder_model().generate(scale, seed + 3), 18),
-        "Atlas" => (atlas_model().generate(scale, seed + 4), 18),
-        "Aug-Cab" => (cab_model(CabMonth::Aug).generate(scale, seed + 5), 18),
-        "Sep-Cab" => (cab_model(CabMonth::Sep).generate(scale, seed + 6), 18),
-        "Oct-Cab" => (cab_model(CabMonth::Oct).generate(scale, seed + 7), 18),
-        "Nov-Cab" => (cab_model(CabMonth::Nov).generate(scale, seed + 8), 18),
-        // Workload model v2 (DESIGN §13): DAG and reservation scenarios on
-        // the Synth-16 cluster.
-        "dag_pipeline" => (dag_pipeline(16, n_synth, seed + 9), 16),
-        "dag_fanout" => (dag_fanout(16, n_synth, seed + 10), 16),
-        "reserved_mix" => (reserved_mix(16, n_synth, seed + 11), 16),
-        _ => return None,
-    };
-    Some((trace, FatTree::maximal(radix).expect("valid radix")))
-}
 
 pub fn run(args: &[String]) -> i32 {
     let flags = match Flags::parse(args) {
@@ -51,9 +22,10 @@ pub fn run(args: &[String]) -> i32 {
         Ok(s) => s,
         Err(e) => return fail(&e),
     };
-    let Some((trace, tree)) = builtin_trace(name, scale, seed) else {
+    let Some((trace, radix)) = jigsaw_traces::builtin::generate(name, scale, seed) else {
         return fail(&format!("unknown built-in trace `{name}`"));
     };
+    let tree = FatTree::maximal(radix).expect("built-in radixes are valid");
 
     if flags.has("--swf") {
         print!("{}", to_swf(&trace));

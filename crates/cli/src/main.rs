@@ -60,7 +60,7 @@ USAGE:
         [--listen ADDR] [--max-conns N] [--max-batch N]
         [--idle-timeout-ms MS]
         (line protocol: ALLOC id size / FREE id / SUBMIT-DAG id size
-         [parents] / RESERVE id size start / STATUS / TABLES /
+         [parents-csv] / RESERVE id size start / STATUS / TABLES /
          SNAPSHOT / STATS / METRICS / HELP / QUIT / SHUTDOWN; replies
          are `OK <VERB> ...` or `ERR <code> <msg>`; --journal makes the
          service durable and recovers state from DIR on start;

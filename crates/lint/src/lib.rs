@@ -6,17 +6,20 @@
 //! workspace's Rust sources with a hand-rolled lexer (no `syn`, no
 //! third-party dependencies) and enforces the project rule catalog:
 //!
-//! * **R1–R5** are per-file token patterns ([`rules`]; DESIGN §10).
-//! * **R6–R10** are cross-file semantic rules ([`rules6_10`]; DESIGN §15)
-//!   built on an item-level parser ([`parser`]) and conservative call /
-//!   lock-order graphs ([`graph`]): durability ordering in the net engine,
-//!   lock discipline, metric-catalog drift against DESIGN §9,
-//!   protocol-table drift against HELP and the README, and recycle leaks
-//!   in the experiment drivers.
+//! * **R1, R2, R3, R5** are per-file token patterns ([`rules`]; DESIGN §10).
+//! * **R6, R7, R10** are cross-file semantic rules ([`rules6_10`]; DESIGN
+//!   §15) built on an item-level parser ([`parser`]) and conservative call
+//!   / lock-order graphs ([`graph`]): durability ordering in the net
+//!   engine, lock discipline, and recycle leaks in the experiment drivers.
+//!
+//! The analyzer reads only Rust sources. Three former rules moved to
+//! checks that are exact and run with `cargo test`: R4 is rustc's
+//! `unused_must_use`, denied in the root `Cargo.toml`; R8 is
+//! `tests/metric_catalog.rs`; R9 is `crates/net/tests/readme_protocol.rs`.
 //!
 //! The analysis pipeline is one sequential pass in three phases: a
-//! per-file phase (lex + parse + R1–R5), a cross-file phase (R6–R10 over
-//! the assembled workspace model), and a merge phase that applies waivers
+//! per-file phase (lex + parse + per-file rules), a cross-file phase over
+//! the assembled workspace model, and a merge phase that applies waivers
 //! once per file.
 //!
 //! The crate is a library plus a thin `main.rs` so the integration tests
@@ -59,15 +62,6 @@ impl Report {
     }
 }
 
-/// The non-Rust inputs the cross-file rules audit against: the DESIGN §9
-/// metric catalog (R8) and the README serve-grammar section (R9). Empty
-/// strings disable the corresponding checks.
-#[derive(Debug, Clone, Default)]
-pub struct Docs {
-    pub design: String,
-    pub readme: String,
-}
-
 /// One scanned file: the per-file phase's complete output, consumed by
 /// the cross-file rules and the merge phase.
 pub(crate) struct Scan {
@@ -84,7 +78,7 @@ fn skip_dir(rel: &str) -> bool {
     matches!(rel, "target" | "vendor" | ".git" | ".github") || rel == "crates/lint/tests/fixtures"
 }
 
-/// Lint one in-memory source file with the per-file rules (R1–R5).
+/// Lint one in-memory source file with the per-file rules.
 /// `rel_path` is workspace-relative with `/` separators; it decides which
 /// rules apply. Cross-file rules need a workspace: see [`analyze_sources`].
 pub fn lint_source(rel_path: &str, src: &str) -> FileReport {
@@ -105,15 +99,15 @@ fn scan_file(rel: &str, src: &str) -> Scan {
     }
 }
 
-/// Run the full R1–R10 pipeline over in-memory sources.
+/// Run every rule over in-memory sources.
 ///
 /// `files` are `(workspace-relative path, source)` pairs; order is
 /// preserved into the report (callers wanting the canonical order sort
-/// paths first, as [`collect_workspace`] does).
-pub fn analyze_sources(files: &[(String, String)], docs: &Docs) -> Report {
+/// paths first, as [`lint_workspace`] does).
+pub fn analyze_sources(files: &[(String, String)]) -> Report {
     let scans: Vec<Scan> = files.iter().map(|(rel, src)| scan_file(rel, src)).collect();
 
-    let cross = rules6_10::check_workspace(&scans, docs);
+    let cross = rules6_10::check_workspace(&scans);
     let mut cross_by_file: BTreeMap<String, Vec<Violation>> = BTreeMap::new();
     for v in cross {
         cross_by_file.entry(v.file.clone()).or_default().push(v);
@@ -135,21 +129,16 @@ pub fn analyze_sources(files: &[(String, String)], docs: &Docs) -> Report {
         report.absorb(fr);
         report.files_scanned += 1;
     }
-    // Findings anchored in non-Rust files (DESIGN.md / README.md drift)
-    // have no waiver channel: doc drift is fixed, not waived.
-    for (_, vs) in cross_by_file {
-        report.violations.extend(vs);
-    }
     report
         .violations
         .sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
     report
 }
 
-/// Collect every lintable `.rs` file (sorted) plus the doc inputs from a
-/// workspace checkout. I/O errors abort: a lint that silently skips
-/// unreadable files would report "clean" on a broken tree.
-pub fn collect_workspace(root: &Path) -> io::Result<(Vec<(String, String)>, Docs)> {
+/// Collect every lintable `.rs` file (sorted) from a workspace checkout.
+/// I/O errors abort: a lint that silently skips unreadable files would
+/// report "clean" on a broken tree.
+fn collect_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut rels = Vec::new();
     collect_rs_files(root, root, &mut rels)?;
     rels.sort();
@@ -158,17 +147,12 @@ pub fn collect_workspace(root: &Path) -> io::Result<(Vec<(String, String)>, Docs
         let src = std::fs::read_to_string(root.join(&rel))?;
         files.push((rel, src));
     }
-    let docs = Docs {
-        design: std::fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default(),
-        readme: std::fs::read_to_string(root.join("README.md")).unwrap_or_default(),
-    };
-    Ok((files, docs))
+    Ok(files)
 }
 
-/// Walk `root` (a workspace checkout) and run the full R1–R10 pipeline.
+/// Walk `root` (a workspace checkout) and run every rule.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    let (files, docs) = collect_workspace(root)?;
-    Ok(analyze_sources(&files, &docs))
+    Ok(analyze_sources(&collect_workspace(root)?))
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {

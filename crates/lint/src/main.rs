@@ -54,15 +54,17 @@ fn parse_flags() -> Result<Flags, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "jigsaw-analyze: enforce the workspace safety contracts (R1-R10)\n\n\
+                    "jigsaw-analyze: enforce the workspace safety contracts\n\
+                     (R1-R3, R5-R7, R10)\n\n\
                      USAGE: jigsaw-lint [--deny] [--emit text|json|github] [--fix]\n\
                             [--root <dir>]\n\n\
                      --deny        exit nonzero on any violation or stale suppression\n\
                      --emit MODE   output mode: text (default), json, or github\n\
                      --fix         delete stale (unused) waiver comments, then re-run\n\
                      --root <dir>  lint this tree instead of the enclosing workspace\n\n\
-                     Rules R1-R5 are documented in DESIGN.md section 10, R6-R10 in\n\
-                     section 15. Waive a finding with\n\
+                     Rules R1-R3 and R5 are documented in DESIGN.md section 10,\n\
+                     R6, R7 and R10 in section 15 (R4, R8 and R9 are retired:\n\
+                     rustc and cargo test check them now). Waive a finding with\n\
                      `// jigsaw-lint: allow(R1) -- <reason>` on the same or previous line."
                 );
                 std::process::exit(0);

@@ -3,9 +3,9 @@
 //!
 //! The parser recovers three things from a file:
 //!
-//! * **Functions** ([`FnDef`]): name, the `impl` type they belong to (if
-//!   any), the token range of their body, and whether they are test code.
-//!   Nested fns are recorded too; [`ParsedFile::enclosing_fn`] returns the
+//! * **Functions** ([`FnDef`]): name, the token range of their body, and
+//!   whether they are test code. Free, `impl` and nested fns are all
+//!   recorded; [`ParsedFile::enclosing_fn`] returns the
 //!   innermost one containing a token index.
 //! * **`Mutex` struct fields** ([`MutexField`]): every named struct field
 //!   whose type mentions `Mutex`, which is the universe the R7 lock-order
@@ -27,10 +27,6 @@ use crate::lexer::Tok;
 pub struct FnDef {
     /// The fn's name.
     pub name: String,
-    /// The `impl` type the fn sits in, when it was found inside an
-    /// `impl … { }` block (`impl Engine` and `impl Trait for Engine` both
-    /// record `Engine`).
-    pub self_ty: Option<String>,
     /// Token range of the body: `toks[body.0]` is the `{`, `toks[body.1]`
     /// the matching `}`. `None` for bodiless trait-method declarations.
     pub body: Option<(usize, usize)>,
@@ -74,11 +70,6 @@ impl ParsedFile {
         }
         best
     }
-
-    /// All fns named `name` (there may be several across impl blocks).
-    pub fn fns_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a FnDef> + 'a {
-        self.fns.iter().filter(move |f| f.name == name)
-    }
 }
 
 /// Parse one file's token stream.
@@ -87,42 +78,6 @@ pub fn parse(toks: &[Tok]) -> ParsedFile {
     let mut i = 0usize;
     while i < toks.len() {
         match toks[i].ident() {
-            Some("impl") => {
-                // Find the impl body `{`, extracting the implemented type:
-                // the first path ident after `for` if present, else the
-                // first ident after the (possibly generic) `impl` header.
-                let mut self_ty: Option<String> = None;
-                let mut angle = 0i32;
-                let mut j = i + 1;
-                while j < toks.len() {
-                    let t = &toks[j];
-                    if t.is_punct('<') {
-                        angle += 1;
-                    } else if t.is_punct('>') {
-                        angle -= 1;
-                    } else if (t.is_punct('{') || t.is_punct(';')) && angle <= 0 {
-                        break;
-                    } else if angle <= 0 {
-                        if t.ident() == Some("for") {
-                            // `impl Trait for Type`: the type follows.
-                            self_ty = None;
-                        } else if let Some(name) = t.ident() {
-                            if self_ty.is_none() && name != "dyn" {
-                                self_ty = Some(name.to_string());
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-                if j < toks.len() && toks[j].is_punct('{') {
-                    if let Some(close) = matching_brace(toks, j) {
-                        parse_fns_in(toks, j + 1, close, self_ty.as_deref(), &mut out);
-                        i = close + 1;
-                        continue;
-                    }
-                }
-                i = j + 1;
-            }
             Some("struct") => {
                 let name = toks
                     .get(i + 1)
@@ -155,7 +110,7 @@ pub fn parse(toks: &[Tok]) -> ParsedFile {
                 i = j + 1;
             }
             Some("fn") => {
-                record_fn(toks, i, None, &mut out);
+                record_fn(toks, i, &mut out);
                 // Keep walking *into* the body so nested items are found.
                 i += 1;
             }
@@ -165,27 +120,8 @@ pub fn parse(toks: &[Tok]) -> ParsedFile {
     out
 }
 
-/// Record every `fn` between `start` and `end` (an impl body), attributing
-/// it to `self_ty`. Nested fns inside those bodies are also recorded (with
-/// the same `self_ty` — good enough for enclosing-fn queries).
-fn parse_fns_in(
-    toks: &[Tok],
-    start: usize,
-    end: usize,
-    self_ty: Option<&str>,
-    out: &mut ParsedFile,
-) {
-    let mut i = start;
-    while i < end {
-        if toks[i].ident() == Some("fn") {
-            record_fn(toks, i, self_ty, out);
-        }
-        i += 1;
-    }
-}
-
 /// Record the fn whose `fn` keyword sits at `kw`.
-fn record_fn(toks: &[Tok], kw: usize, self_ty: Option<&str>, out: &mut ParsedFile) {
+fn record_fn(toks: &[Tok], kw: usize, out: &mut ParsedFile) {
     let Some(name) = toks.get(kw + 1).and_then(|t| t.ident()) else {
         return;
     };
@@ -216,7 +152,6 @@ fn record_fn(toks: &[Tok], kw: usize, self_ty: Option<&str>, out: &mut ParsedFil
     }
     out.fns.push(FnDef {
         name: name.to_string(),
-        self_ty: self_ty.map(str::to_string),
         body,
         line: toks[kw].line,
         in_test: toks[kw].in_test,
@@ -314,19 +249,8 @@ mod tests {
              impl Engine {\n    fn method(&self) { x(); }\n}\n\
              impl Drop for Server { fn drop(&mut self) {} }",
         );
-        let names: Vec<(&str, Option<&str>)> = p
-            .fns
-            .iter()
-            .map(|f| (f.name.as_str(), f.self_ty.as_deref()))
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                ("free_one", None),
-                ("method", Some("Engine")),
-                ("drop", Some("Server")),
-            ]
-        );
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["free_one", "method", "drop"]);
         assert!(p.fns.iter().all(|f| f.body.is_some()));
     }
 
@@ -359,16 +283,14 @@ mod tests {
     #[test]
     fn trait_method_declarations_have_no_body() {
         let p = parse_src("trait T { fn required(&self) -> u32; fn provided(&self) {} }");
-        let req = p.fns_named("required").next().expect("required");
-        assert!(req.body.is_none());
-        let prov = p.fns_named("provided").next().expect("provided");
-        assert!(prov.body.is_some());
+        let body = |name: &str| p.fns.iter().find(|f| f.name == name).expect(name).body;
+        assert!(body("required").is_none());
+        assert!(body("provided").is_some());
     }
 
     #[test]
     fn where_clauses_and_generic_returns_do_not_confuse_body_search() {
         let p = parse_src("fn f<T>(x: T) -> Vec<T> where T: Clone { g(); }");
-        let f = p.fns_named("f").next().expect("f");
-        assert!(f.body.is_some());
+        assert!(p.fns.iter().any(|f| f.name == "f" && f.body.is_some()));
     }
 }

@@ -1,9 +1,10 @@
-//! The rule catalog (R1–R10) and the per-file checking engine.
+//! The rule catalog and the per-file checking engine.
 //!
-//! R1–R5 are token-patterns over the [`lexer`](crate::lexer) stream, scoped
-//! by [`FileClass`] — which crate the file belongs to and whether it is
-//! test code. R6–R10 (in [`rules6_10`](crate::rules6_10)) are *cross-file*:
-//! they run over the whole workspace at once, on top of the item parser
+//! R1, R2, R3 and R5 are token-patterns over the [`lexer`](crate::lexer)
+//! stream, scoped by [`FileClass`] — which crate the file belongs to and
+//! whether it is test code. R6, R7 and R10 (in
+//! [`rules6_10`](crate::rules6_10)) are *cross-file*: they run over the
+//! whole workspace at once, on top of the item parser
 //! ([`parser`](crate::parser)) and the conservative call/lock graphs
 //! ([`graph`](crate::graph)). The catalog is deliberately project-specific:
 //! these are the Jigsaw workspace's safety contracts, not general style
@@ -14,13 +15,16 @@
 //! | R1 | No `unwrap()` / `expect()` / `panic!` in library crates outside tests. |
 //! | R2 | No bare `as` casts to narrow integer types in library crates. |
 //! | R3 | `SystemState` ownership mutators called only from audited files. |
-//! | R4 | `pub fn`s returning allocation/persist `Result`s carry `#[must_use]`. |
 //! | R5 | No `unsafe` anywhere in the workspace. |
 //! | R6 | Durability ordering: engine paths that journal construct `Outcome` with a live `durable` flag, and no `flush()`/`append_batch()` result is discarded via `let _ =`. |
 //! | R7 | Lock discipline: every `.lock()` is poison-tolerant, and the `Mutex`-field acquisition-order graph is cycle-free. |
-//! | R8 | Metric-catalog drift: registration sites ↔ DESIGN §9 catalog, both directions. |
-//! | R9 | Protocol-table drift: `Verb`/`ErrCode` tables ↔ HELP usage strings ↔ README grammar, both directions. |
 //! | R10 | Recycle leak: locally bound `decide(...)`/`try_admit(...)` results in `bench`/`sim`/`cli` must be recycled, returned, or stored. |
+//!
+//! Retired numbers stay unused, because their contracts have exact checks
+//! elsewhere: R4 (a dropped `Result`) is rustc's `unused_must_use`, denied
+//! workspace-wide in the root `Cargo.toml`; R8 (the DESIGN §9 metric
+//! catalog) is `tests/metric_catalog.rs`; R9 (the README serve grammar and
+//! error codes) is `crates/net/tests/readme_protocol.rs`.
 //!
 //! Suppressions: `// jigsaw-lint: allow(R1) -- reason` on the finding's
 //! line or the line above waives it. A waiver without a reason is itself a
@@ -29,8 +33,8 @@
 
 use crate::lexer::{lex, Suppression, Tok};
 
-/// Library crates — the crates whose non-test code must be panic-free (R1),
-/// truncation-free (R2) and `#[must_use]`-correct (R4). Binary crates
+/// Library crates — the crates whose non-test code must be panic-free (R1)
+/// and truncation-free (R2). Binary crates
 /// (`cli`, `bench`, `lint` itself) are exempt from those rules; R3 and R5
 /// still apply to them.
 pub const LIB_CRATES: [&str; 9] = [
@@ -121,7 +125,7 @@ pub struct Violation {
     pub file: String,
     pub line: u32,
     pub col: u32,
-    /// Rule code: `R1`…`R5`.
+    /// Rule code, e.g. `R1`.
     pub rule: &'static str,
     pub message: String,
 }
@@ -144,14 +148,14 @@ pub struct FileReport {
     pub unused_suppressions: Vec<u32>,
 }
 
-/// Lint one file's source text with the per-file rules (R1–R5) only.
+/// Lint one file's source text with the per-file rules only.
 pub fn check_file(src: &str, class: &FileClass) -> FileReport {
     let (toks, sups) = lex(src);
     let raw = check_tokens_raw(&toks, class);
     apply_suppressions(raw, &sups, class)
 }
 
-/// The per-file rules (R1–R5) over an already-lexed stream, *without*
+/// The per-file rules over an already-lexed stream, *without*
 /// suppression handling — the workspace pipeline merges these raw findings
 /// with the cross-file rules' before applying waivers once per file.
 pub(crate) fn check_tokens_raw(toks: &[Tok], class: &FileClass) -> Vec<Violation> {
@@ -160,7 +164,6 @@ pub(crate) fn check_tokens_raw(toks: &[Tok], class: &FileClass) -> Vec<Violation
     if class.lib_source {
         rule_r1_panics(toks, class, &mut raw);
         rule_r2_casts(toks, class, &mut raw);
-        rule_r4_must_use(toks, class, &mut raw);
     }
     rule_r3_mutators(toks, class, &mut raw);
     raw
@@ -268,167 +271,6 @@ fn rule_r3_mutators(toks: &[Tok], class: &FileClass, out: &mut Vec<Violation>) {
             ));
         }
     }
-}
-
-// --- R4 ---------------------------------------------------------------------
-
-fn rule_r4_must_use(toks: &[Tok], class: &FileClass, out: &mut Vec<Violation>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].in_test
-            || toks[i].ident() != Some("pub")
-            || toks.get(i + 1).and_then(|t| t.ident()) != Some("fn")
-        {
-            i += 1;
-            continue;
-        }
-        let Some(name_tok) = toks.get(i + 2) else {
-            break;
-        };
-        let fn_name = name_tok.ident().unwrap_or("?").to_string();
-        let Some(ret) = return_type_text(toks, i + 2) else {
-            i += 3;
-            continue;
-        };
-        if must_use_required(&ret, class) && !has_must_use_attr(toks, i) {
-            out.push(violation(
-                class,
-                &toks[i],
-                "R4",
-                format!(
-                    "pub fn `{fn_name}` returns `{ret}` but carries no \
-                     `#[must_use]`: dropping this Result loses claimed resources \
-                     or durability errors"
-                ),
-            ));
-        }
-        i += 3;
-    }
-}
-
-/// Does a return type demand `#[must_use]`? Allocation grants anywhere;
-/// every `Result` in the persist crate (journal/snapshot I/O).
-fn must_use_required(ret: &str, class: &FileClass) -> bool {
-    if !ret.contains("Result") {
-        return false;
-    }
-    class.crate_name == "persist" || ret.contains("Reject") || ret.contains("PersistError")
-}
-
-/// Flatten the return type of the `fn` whose name sits at `name_idx` into a
-/// compact string, or `None` if the fn has no `->` clause.
-fn return_type_text(toks: &[Tok], name_idx: usize) -> Option<String> {
-    // Find the parameter list's `(` at angle-depth 0 (skipping generics).
-    let mut j = name_idx + 1;
-    let mut angle = 0i32;
-    while j < toks.len() {
-        match toks[j].kind {
-            crate::lexer::Kind::Punct('<') => angle += 1,
-            crate::lexer::Kind::Punct('>') if !prev_is(toks, j, '-') => angle -= 1,
-            crate::lexer::Kind::Punct('(') if angle <= 0 => break,
-            crate::lexer::Kind::Punct('{') | crate::lexer::Kind::Punct(';') => return None,
-            _ => {}
-        }
-        j += 1;
-    }
-    // Matching `)`.
-    let mut depth = 0i32;
-    while j < toks.len() {
-        if toks[j].is_punct('(') {
-            depth += 1;
-        } else if toks[j].is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        j += 1;
-    }
-    // `->` ?
-    if !(toks.get(j + 1).is_some_and(|t| t.is_punct('-'))
-        && toks.get(j + 2).is_some_and(|t| t.is_punct('>')))
-    {
-        return None;
-    }
-    let mut parts: Vec<String> = Vec::new();
-    let mut k = j + 3;
-    let mut bracket = 0i32;
-    while k < toks.len() {
-        match &toks[k].kind {
-            crate::lexer::Kind::Punct('{') | crate::lexer::Kind::Punct(';') if bracket == 0 => {
-                break;
-            }
-            crate::lexer::Kind::Ident(s) if s == "where" && bracket == 0 => break,
-            crate::lexer::Kind::Punct(c) => {
-                if matches!(c, '(' | '[') {
-                    bracket += 1;
-                } else if matches!(c, ')' | ']') {
-                    bracket -= 1;
-                }
-                parts.push(c.to_string());
-            }
-            crate::lexer::Kind::Ident(s) => parts.push(s.clone()),
-            crate::lexer::Kind::Str(_) | crate::lexer::Kind::Lit => parts.push("_".into()),
-        }
-        k += 1;
-    }
-    Some(render_type(&parts))
-}
-
-/// Join type tokens without spaces around punctuation, with one space
-/// after commas, for readable diagnostics.
-fn render_type(parts: &[String]) -> String {
-    let mut out = String::new();
-    for p in parts {
-        if p == "," {
-            out.push_str(", ");
-        } else if p.chars().all(|c| c.is_alphanumeric() || c == '_') {
-            if out
-                .chars()
-                .last()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_')
-            {
-                out.push(' ');
-            }
-            out.push_str(p);
-        } else {
-            out.push_str(p);
-        }
-    }
-    out
-}
-
-/// Does the `pub` token at `pub_idx` carry a `#[must_use…]` attribute among
-/// the attributes immediately preceding it?
-fn has_must_use_attr(toks: &[Tok], pub_idx: usize) -> bool {
-    let mut end = pub_idx;
-    while end >= 1 && toks[end - 1].is_punct(']') {
-        // Walk back to the matching `[`.
-        let mut depth = 0i32;
-        let mut j = end - 1;
-        loop {
-            if toks[j].is_punct(']') {
-                depth += 1;
-            } else if toks[j].is_punct('[') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            if j == 0 {
-                return false;
-            }
-            j -= 1;
-        }
-        if j == 0 || !toks[j - 1].is_punct('#') {
-            return false;
-        }
-        if toks[j..end].iter().any(|t| t.ident() == Some("must_use")) {
-            return true;
-        }
-        end = j - 1;
-    }
-    false
 }
 
 // --- R5 ---------------------------------------------------------------------
@@ -584,32 +426,6 @@ mod tests {
         // Defining the method is not calling it.
         let def = "impl SystemState { pub fn claim_node(&mut self) {} }";
         assert!(check(def, &FileClass::of("crates/sim/src/engine.rs")).is_empty());
-    }
-
-    #[test]
-    fn r4_requires_must_use_on_grant_results() {
-        let src = "pub fn allocate(&mut self) -> Result<Allocation, Reject> { todo() }";
-        assert_eq!(check(src, &lib_class()), vec![("R4", 1)]);
-        let ok = "#[must_use = \"grants leak\"]\npub fn allocate(&mut self) -> Result<Allocation, Reject> { todo() }";
-        assert!(check(ok, &lib_class()).is_empty());
-        // Plain Results outside persist are not covered.
-        let other = "pub fn parse(&self) -> Result<u32, String> { todo() }";
-        assert!(check(other, &lib_class()).is_empty());
-        // …but in persist every Result is.
-        assert_eq!(
-            check(other, &FileClass::of("crates/persist/src/journal.rs")),
-            vec![("R4", 1)]
-        );
-    }
-
-    #[test]
-    fn r4_handles_generics_in_params() {
-        let src =
-            "pub fn save<T: Into<String>>(&self, t: T) -> std::io::Result<PathBuf> { todo() }";
-        assert_eq!(
-            check(src, &FileClass::of("crates/persist/src/snapshot.rs")),
-            vec![("R4", 1)]
-        );
     }
 
     #[test]

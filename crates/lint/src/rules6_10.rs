@@ -1,4 +1,4 @@
-//! The cross-file rule catalog (R6–R10).
+//! The cross-file rule catalog (R6, R7, R10).
 //!
 //! These rules run once over the whole workspace, on top of the item
 //! parser and the conservative graphs in [`graph`](crate::graph):
@@ -13,15 +13,15 @@
 //!   poison-tolerant (`.unwrap_or_else(PoisonError::into_inner)`), and
 //!   the acquisition-order graph over named `Mutex` struct fields is
 //!   cycle-free.
-//! * **R8 metric-catalog drift** — `jigsaw_*` metric names at
-//!   registration sites ↔ the DESIGN §9 catalog, both directions.
-//! * **R9 protocol-table drift** — the `Verb`/`ErrCode` tables in
-//!   `net/src/protocol.rs` ↔ the generated HELP usage strings ↔ the
-//!   README serve-grammar section, both directions.
 //! * **R10 recycle-leak** — a `decide(...)`/`try_admit(...)` result in
 //!   `bench`/`sim`/
 //!   `cli` that is locally bound and then neither recycled, returned, nor
 //!   stored escapes the PR-8 scratch-pool cycle and is flagged.
+//!
+//! R8 (metric-catalog drift) and R9 (protocol-table drift) are retired:
+//! `tests/metric_catalog.rs` compares DESIGN §9 with a live registry's
+//! exposition, and `crates/net/tests/readme_protocol.rs` compares the
+//! README with the compiled `VERBS` and `ErrCode::ALL` tables.
 //!
 //! Soundness notes live in DESIGN §15. Every rule here over-approximates
 //! (name-based matching, no type resolution); false positives are
@@ -31,13 +31,11 @@
 use crate::graph::{calls_per_fn, Acquisition, LockOrder, Reach};
 use crate::lexer::Tok;
 use crate::rules::Violation;
-use crate::{Docs, Scan};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::Scan;
+use std::collections::BTreeSet;
 
 /// The one file whose `Outcome` constructions R6 audits.
 pub const ENGINE_FILE: &str = "crates/net/src/engine.rs";
-/// The file holding the `Verb`/`ErrCode` tables R9 audits.
-pub const PROTOCOL_FILE: &str = "crates/net/src/protocol.rs";
 
 /// Journal-writing APIs: reaching any of these marks a path as durable.
 const DURABILITY_APIS: [&str; 7] = [
@@ -50,22 +48,12 @@ const DURABILITY_APIS: [&str; 7] = [
     "append_batch",
 ];
 
-/// Registry methods whose first string argument is a metric name.
-const METRIC_METHODS: [&str; 6] = [
-    "counter",
-    "gauge",
-    "histogram",
-    "counter_with",
-    "gauge_with",
-    "histogram_with",
-];
-
 /// Crates whose locally bound `allocate(...)` results R10 audits —
 /// the experiment drivers that own the scratch-pool cycle.
 const R10_CRATES: [&str; 3] = ["bench", "sim", "cli"];
 
 /// Run every cross-file rule over the scanned workspace.
-pub(crate) fn check_workspace(scans: &[Scan], docs: &Docs) -> Vec<Violation> {
+pub(crate) fn check_workspace(scans: &[Scan]) -> Vec<Violation> {
     let mut out = Vec::new();
     for scan in scans {
         if scan.class.rel_path == ENGINE_FILE {
@@ -76,8 +64,6 @@ pub(crate) fn check_workspace(scans: &[Scan], docs: &Docs) -> Vec<Violation> {
         r10_recycle_leak(scan, &mut out);
     }
     r7_lock_order(scans, &mut out);
-    r8_metric_catalog(scans, docs, &mut out);
-    r9_protocol_tables(scans, docs, &mut out);
     out
 }
 
@@ -89,10 +75,6 @@ fn v(file: &str, line: u32, col: u32, rule: &'static str, message: String) -> Vi
         rule,
         message,
     }
-}
-
-fn line_no(idx: usize) -> u32 {
-    u32::try_from(idx + 1).unwrap_or(u32::MAX)
 }
 
 // --- R6: durability ordering ------------------------------------------------
@@ -399,353 +381,6 @@ fn r7_lock_order(scans: &[Scan], out: &mut Vec<Violation>) {
     }
 }
 
-// --- R8: metric-catalog drift -----------------------------------------------
-
-/// Rows of the DESIGN §9 catalog: (metric name, 1-based line).
-fn design_catalog(design: &str) -> Vec<(String, u32)> {
-    let mut rows = Vec::new();
-    let mut in_sec9 = false;
-    for (idx, line) in design.lines().enumerate() {
-        if line.starts_with("## 9") {
-            in_sec9 = true;
-            continue;
-        }
-        if in_sec9 && line.starts_with("## ") {
-            break;
-        }
-        if !in_sec9 {
-            continue;
-        }
-        let trimmed = line.trim_start();
-        if let Some(rest) = trimmed.strip_prefix("| `") {
-            if let Some(end) = rest.find('`') {
-                let name = &rest[..end];
-                if name.starts_with("jigsaw_") {
-                    rows.push((name.to_string(), line_no(idx)));
-                }
-            }
-        }
-    }
-    rows
-}
-
-/// `jigsaw_*` metric names at registration sites ↔ the DESIGN §9 catalog,
-/// both directions. Non-`jigsaw_` registrations (the `par_*` pool metrics)
-/// are out of catalog scope by prefix.
-fn r8_metric_catalog(scans: &[Scan], docs: &Docs, out: &mut Vec<Violation>) {
-    if docs.design.is_empty() {
-        return;
-    }
-    let catalog = design_catalog(&docs.design);
-    let catalog_names: BTreeSet<&str> = catalog.iter().map(|(n, _)| n.as_str()).collect();
-
-    // Registration sites: `.counter("name", …)` and friends in lib source.
-    let mut registered: BTreeMap<String, (String, u32, u32)> = BTreeMap::new();
-    for scan in scans {
-        if !scan.class.lib_source {
-            continue;
-        }
-        let toks = &scan.toks;
-        for i in 1..toks.len() {
-            let t = &toks[i];
-            if t.in_test
-                || !toks[i - 1].is_punct('.')
-                || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            {
-                continue;
-            }
-            let Some(method) = t.ident() else { continue };
-            if !METRIC_METHODS.contains(&method) {
-                continue;
-            }
-            let Some(name) = toks.get(i + 2).and_then(Tok::str_lit) else {
-                continue;
-            };
-            if name.starts_with("jigsaw_") {
-                registered.entry(name.to_string()).or_insert((
-                    scan.class.rel_path.clone(),
-                    t.line,
-                    t.col,
-                ));
-            }
-        }
-    }
-
-    for (name, (file, line, col)) in &registered {
-        if !catalog_names.contains(name.as_str()) {
-            out.push(v(
-                file,
-                *line,
-                *col,
-                "R8",
-                format!(
-                    "metric `{name}` is registered here but missing from the DESIGN §9 \
-                     catalog — add a catalog row (name, type, labels, source)"
-                ),
-            ));
-        }
-    }
-    for (name, line) in &catalog {
-        if !registered.contains_key(name) {
-            out.push(v(
-                "DESIGN.md",
-                *line,
-                1,
-                "R8",
-                format!(
-                    "DESIGN §9 catalogs metric `{name}` but no registration site was \
-                     found in any lib crate — stale row or lost instrumentation"
-                ),
-            ));
-        }
-    }
-}
-
-// --- R9: protocol-table drift -----------------------------------------------
-
-/// `(verbs: name/usage/line, err_codes: token/line)` extracted from the
-/// protocol file's `VERBS` const and `ErrCode::as_str`.
-struct ProtocolTables {
-    verbs: Vec<(String, String, u32)>,
-    codes: Vec<(String, u32)>,
-}
-
-fn protocol_tables(scan: &Scan) -> ProtocolTables {
-    let toks = &scan.toks;
-    let mut verbs: Vec<(String, String, u32)> = Vec::new();
-
-    // `const VERBS … = [ Verb { name: "…", usage: "…", … }, … ];`
-    if let Some(start) = toks.iter().position(|t| t.ident() == Some("VERBS")) {
-        let mut depth = 0i32;
-        let mut j = start;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct('[') || t.is_punct('{') || t.is_punct('(') {
-                depth += 1;
-            } else if t.is_punct(']') || t.is_punct('}') || t.is_punct(')') {
-                depth -= 1;
-            } else if t.is_punct(';') && depth <= 0 && j > start + 1 {
-                break;
-            } else if t.ident() == Some("name") && toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
-            {
-                if let Some(name) = toks.get(j + 2).and_then(Tok::str_lit) {
-                    verbs.push((name.to_string(), String::new(), t.line));
-                }
-            } else if t.ident() == Some("usage") && toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
-            {
-                if let (Some(usage), Some(last)) =
-                    (toks.get(j + 2).and_then(Tok::str_lit), verbs.last_mut())
-                {
-                    last.1 = usage.to_string();
-                }
-            }
-            j += 1;
-        }
-    }
-
-    // `impl ErrCode { fn as_str … }`: every string literal in the body.
-    let mut codes: Vec<(String, u32)> = Vec::new();
-    for f in scan.parsed.fns_named("as_str") {
-        if f.self_ty.as_deref() != Some("ErrCode") {
-            continue;
-        }
-        if let Some((open, close)) = f.body {
-            for t in &toks[open + 1..close] {
-                if let Some(code) = t.str_lit() {
-                    codes.push((code.to_string(), t.line));
-                }
-            }
-        }
-    }
-    ProtocolTables { verbs, codes }
-}
-
-/// README serve-grammar verbs: the first code fence after the heading
-/// containing "Serve protocol". Returns (fence line, [(verb, line)]).
-fn readme_verbs(readme: &str) -> Option<(u32, Vec<(String, u32)>)> {
-    let lines: Vec<&str> = readme.lines().collect();
-    let mut i = lines
-        .iter()
-        .position(|l| l.starts_with('#') && l.contains("Serve protocol"))?;
-    while i < lines.len() && !lines[i].trim_start().starts_with("```") {
-        i += 1;
-    }
-    if i >= lines.len() {
-        return None;
-    }
-    let fence_line = line_no(i);
-    let mut verbs = Vec::new();
-    let mut j = i + 1;
-    while j < lines.len() && !lines[j].trim_start().starts_with("```") {
-        if let Some(first) = lines[j].split_whitespace().next() {
-            if first != "OK"
-                && first != "ERR"
-                && first.chars().all(|c| c.is_ascii_uppercase() || c == '-')
-            {
-                verbs.push((first.to_string(), line_no(j)));
-            }
-        }
-        j += 1;
-    }
-    Some((fence_line, verbs))
-}
-
-/// README error codes: backticked lowercase tokens in the paragraph that
-/// starts with "Error codes". Returns (paragraph line, [(code, line)]).
-fn readme_err_codes(readme: &str) -> Option<(u32, Vec<(String, u32)>)> {
-    let lines: Vec<&str> = readme.lines().collect();
-    let start = lines.iter().position(|l| l.starts_with("Error codes"))?;
-    let mut codes = Vec::new();
-    let mut j = start;
-    while j < lines.len() && !lines[j].trim().is_empty() {
-        let mut rest = lines[j];
-        while let Some(open) = rest.find('`') {
-            let tail = &rest[open + 1..];
-            let Some(close) = tail.find('`') else { break };
-            let token = &tail[..close];
-            if !token.is_empty()
-                && token
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-            {
-                codes.push((token.to_string(), line_no(j)));
-            }
-            rest = &tail[close + 1..];
-        }
-        j += 1;
-    }
-    Some((line_no(start), codes))
-}
-
-/// `Verb`/`ErrCode` tables ↔ generated HELP usages ↔ README grammar
-/// section, both directions.
-fn r9_protocol_tables(scans: &[Scan], docs: &Docs, out: &mut Vec<Violation>) {
-    let Some(scan) = scans.iter().find(|s| s.class.rel_path == PROTOCOL_FILE) else {
-        return;
-    };
-    let tables = protocol_tables(scan);
-    if tables.verbs.is_empty() {
-        out.push(v(
-            PROTOCOL_FILE,
-            1,
-            1,
-            "R9",
-            "could not extract any `Verb { name: … }` entries from the VERBS table — \
-             the protocol surface is no longer statically auditable"
-                .into(),
-        ));
-        return;
-    }
-
-    // HELP structural check: each usage string must begin with its verb.
-    for (name, usage, line) in &tables.verbs {
-        if !usage.starts_with(name.as_str()) {
-            out.push(v(
-                PROTOCOL_FILE,
-                *line,
-                1,
-                "R9",
-                format!(
-                    "HELP usage for `{name}` is `{usage}` — generated HELP text must \
-                     begin with the verb it documents"
-                ),
-            ));
-        }
-    }
-
-    if docs.readme.is_empty() {
-        return;
-    }
-    let verb_names: BTreeSet<&str> = tables.verbs.iter().map(|(n, _, _)| n.as_str()).collect();
-    let code_names: BTreeSet<&str> = tables.codes.iter().map(|(c, _)| c.as_str()).collect();
-
-    match readme_verbs(&docs.readme) {
-        None => out.push(v(
-            "README.md",
-            1,
-            1,
-            "R9",
-            "serve-grammar section not found (expected a heading containing \
-             'Serve protocol' followed by a code fence)"
-                .into(),
-        )),
-        Some((fence_line, readme_vs)) => {
-            let readme_names: BTreeSet<&str> = readme_vs.iter().map(|(n, _)| n.as_str()).collect();
-            for (name, _, _) in &tables.verbs {
-                if !readme_names.contains(name.as_str()) {
-                    out.push(v(
-                        "README.md",
-                        fence_line,
-                        1,
-                        "R9",
-                        format!(
-                            "verb `{name}` is in the protocol VERBS table but missing \
-                             from the README serve-grammar fence"
-                        ),
-                    ));
-                }
-            }
-            for (name, line) in &readme_vs {
-                if !verb_names.contains(name.as_str()) {
-                    out.push(v(
-                        "README.md",
-                        *line,
-                        1,
-                        "R9",
-                        format!(
-                            "README documents verb `{name}` which is not in the \
-                             protocol VERBS table"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    match readme_err_codes(&docs.readme) {
-        None => out.push(v(
-            "README.md",
-            1,
-            1,
-            "R9",
-            "error-code paragraph not found (expected a paragraph starting with \
-             'Error codes')"
-                .into(),
-        )),
-        Some((para_line, readme_cs)) => {
-            let readme_names: BTreeSet<&str> = readme_cs.iter().map(|(c, _)| c.as_str()).collect();
-            for (code, _) in &tables.codes {
-                if !readme_names.contains(code.as_str()) {
-                    out.push(v(
-                        "README.md",
-                        para_line,
-                        1,
-                        "R9",
-                        format!(
-                            "error code `{code}` is in `ErrCode::as_str` but missing \
-                             from the README error-code paragraph"
-                        ),
-                    ));
-                }
-            }
-            for (code, line) in &readme_cs {
-                if !code_names.contains(code.as_str()) {
-                    out.push(v(
-                        "README.md",
-                        *line,
-                        1,
-                        "R9",
-                        format!(
-                            "README documents error code `{code}` which is not in \
-                             `ErrCode::as_str`"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
 // --- R10: recycle leak ------------------------------------------------------
 
 /// A locally bound `decide(...)`/`try_admit(...)` result in the
@@ -872,42 +507,5 @@ fn r10_recycle_leak(scan: &Scan, out: &mut Vec<Violation>) {
             }
             i = j;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn design_catalog_extracts_section_9_rows_only() {
-        let design = "\
-## 8. Other\n| `jigsaw_not_this` | c | — | x |\n\n## 9. Observability\n\n\
-| Metric | Type |\n|---|---|\n| `jigsaw_alloc_grants_total` | counter |\n\
-| `par_runs_total` | counter |\n\n## 10. Next\n| `jigsaw_after` | c |\n";
-        let rows = design_catalog(design);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, "jigsaw_alloc_grants_total");
-    }
-
-    #[test]
-    fn readme_verb_fence_is_found_and_filtered() {
-        let readme = "\
-# Title\n\n### Serve protocol & metrics\n\nintro text\n\n```text\n\
-success: OK <VERB>\nALLOC <id> <size>  -> OK GRANT\n   -> continuation\n\
-QUIT -> OK BYE\n```\n";
-        let (_, verbs) = readme_verbs(readme).expect("fence");
-        let names: Vec<&str> = verbs.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["ALLOC", "QUIT"]);
-    }
-
-    #[test]
-    fn readme_err_codes_filter_out_uppercase_snippets() {
-        let readme = "\
-Error codes are a closed lowercase set — `denied`, `bad-request` — and\n\
-`OK METRICS <n>` is the only multi-line reply.\n\nnext paragraph\n";
-        let (_, codes) = readme_err_codes(readme).expect("paragraph");
-        let names: Vec<&str> = codes.iter().map(|(c, _)| c.as_str()).collect();
-        assert_eq!(names, vec!["denied", "bad-request"]);
     }
 }

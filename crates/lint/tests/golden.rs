@@ -55,12 +55,6 @@ fn r3_is_quiet_inside_the_allowlist() {
 }
 
 #[test]
-fn r4_fires_and_stays_quiet() {
-    assert_eq!(rules_fired(&lint_fixture("r4_firing.rs")), ["R4"]);
-    assert_eq!(rules_fired(&lint_fixture("r4_clean.rs")), [""; 0]);
-}
-
-#[test]
 fn r5_fires_and_stays_quiet() {
     // `unsafe` is flagged even inside `#[cfg(test)]`.
     assert_eq!(rules_fired(&lint_fixture("r5_firing.rs")), ["R5"]);

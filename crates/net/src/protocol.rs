@@ -873,7 +873,14 @@ mod tests {
         for (i, v) in VERBS.iter().enumerate() {
             assert_eq!(v.cmd.index(), i, "{} is out of place", v.name);
             assert_eq!(v.cmd.verb().name, v.name);
-            assert!(v.usage.starts_with(v.name));
+            // HELP prints the usage strings: each begins with its verb.
+            let args = v.usage.strip_prefix(v.name);
+            assert!(
+                args.is_some_and(|a| a.is_empty() || a.starts_with(' ')),
+                "usage `{}` must begin with the word `{}`",
+                v.usage,
+                v.name
+            );
         }
     }
 

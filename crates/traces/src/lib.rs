@@ -17,6 +17,9 @@
 //! * [`stats`] — per-trace summaries reproducing Table 1.
 //! * [`workload`] — workload-model-v2 generators: DAG pipelines, fork/join
 //!   fan-outs, and advance-reservation mixes (DESIGN §13).
+//! * [`builtin`] — every built-in trace by name, with the radix of the
+//!   cluster it runs on: the one name table `jigsaw-sched` and
+//!   `jigsaw-bench` both resolve through.
 //!
 //! All generators are deterministic given a seed, and support scaling the
 //! job count (`scale < 1.0`) so the full experiment suite runs in minutes;
@@ -26,6 +29,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod builtin;
 mod cast;
 pub mod distr;
 pub mod llnl;

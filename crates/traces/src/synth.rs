@@ -47,18 +47,6 @@ pub fn synth(mean_size: u32, n_jobs: usize, seed: u64) -> Trace {
     Trace::rigid(format!("Synth-{mean_size}"), 0, jobs)
 }
 
-/// The paper's three synthetic traces at a scale factor (`1.0` = the full
-/// 10,000 jobs). They are simulated on the 1024-, 2662- and 5488-node
-/// clusters respectively (§5.4.3).
-pub fn paper_synth_traces(scale: f64, seed: u64) -> Vec<Trace> {
-    let n = crate::cast::sat_round_usize((PAPER_JOBS as f64) * scale).max(1);
-    vec![
-        synth(16, n, seed),
-        synth(22, n, seed + 1),
-        synth(28, n, seed + 2),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,8 +75,10 @@ mod tests {
 
     #[test]
     fn all_three_paper_traces() {
-        let traces = paper_synth_traces(0.01, 1);
-        assert_eq!(traces.len(), 3);
+        let traces: Vec<Trace> = ["Synth-16", "Synth-22", "Synth-28"]
+            .iter()
+            .map(|name| crate::builtin::generate(name, 0.01, 1).unwrap().0)
+            .collect();
         assert_eq!(traces[0].name, "Synth-16");
         assert_eq!(traces[2].name, "Synth-28");
         assert_eq!(traces[0].len(), 100);
