@@ -32,18 +32,24 @@ fn main() {
         Some("sim") => cmd_sim::run(&argv[1..]),
         Some("trace") => cmd_trace::run(&argv[1..]),
         Some("--help") | Some("-h") | None => {
-            print!("{}", USAGE);
+            print!("{}", usage());
             0
         }
         Some(other) => {
-            eprintln!("error: unknown command `{other}`\n\n{USAGE}");
+            eprintln!("error: unknown command `{other}`\n\n{}", usage());
             2
         }
     };
     std::process::exit(code);
 }
 
-const USAGE: &str = "\
+/// The usage text, with the built-in trace names from
+/// [`jigsaw_traces::builtin`]'s table.
+fn usage() -> String {
+    let names: Vec<&str> = jigsaw_traces::builtin::names().collect();
+    let traces: Vec<String> = names.chunks(6).map(|row| row.join(" ")).collect();
+    format!(
+        "\
 jigsaw-sched — the Jigsaw fat-tree scheduler toolkit
 
 USAGE:
@@ -59,16 +65,16 @@ USAGE:
         [--journal DIR] [--snapshot-every N]
         [--listen ADDR] [--max-conns N] [--max-batch N]
         [--idle-timeout-ms MS]
-        (line protocol: ALLOC id size / FREE id / SUBMIT-DAG id size
-         [parents-csv] / RESERVE id size start / STATUS / TABLES /
-         SNAPSHOT / STATS / METRICS / HELP / QUIT / SHUTDOWN; replies
-         are `OK <VERB> ...` or `ERR <code> <msg>`; --journal makes the
-         service durable and recovers state from DIR on start;
-         --listen turns the stdin session into a multi-client TCP
-         daemon with group-commit fsync batching — it prints
-         `LISTENING <addr>` once bound and exits on SHUTDOWN)
+        (line protocol: send HELP for every verb and its arguments,
+         which the service also lists on stderr at start; replies are
+         `OK <VERB> ...` or `ERR <code> <msg>`; --journal makes the
+         service durable and recovers state from DIR on start; --listen
+         turns the stdin session into a multi-client TCP daemon with
+         group-commit fsync batching — it prints `LISTENING <addr>` once
+         bound and exits on SHUTDOWN)
 
-Built-in traces: Synth-16 Synth-22 Synth-28 Thunder Atlas
-                 Aug-Cab Sep-Cab Oct-Cab Nov-Cab
-                 dag_pipeline dag_fanout reserved_mix   (workload model v2)
-";
+Built-in traces: {}
+",
+        traces.join("\n                 ")
+    )
+}

@@ -413,6 +413,35 @@ pub fn free_nodes_on_into(state: &SystemState, leaf: LeafId, count: u32, out: &m
     );
 }
 
+/// `true` iff every node of `alloc` is free in `state` and every link is
+/// unowned and unshared (exclusive mode) or has `bw_tenths` to spare
+/// (fractional mode): [`claim_allocation`] panics on a taken link.
+pub fn is_claimable(state: &SystemState, alloc: &Allocation) -> bool {
+    let bw = alloc.bw_tenths;
+    let link_ok = |owned: bool, used: u16, spare: u16| {
+        if bw == 0 {
+            !owned && used == 0
+        } else {
+            spare >= bw
+        }
+    };
+    state.all_nodes_free(&alloc.nodes)
+        && alloc.leaf_links.iter().all(|&l| {
+            link_ok(
+                state.leaf_link_owner(l).is_some(),
+                state.leaf_link_bw_used(l),
+                state.leaf_link_bw_spare(l),
+            )
+        })
+        && alloc.spine_links.iter().all(|&l| {
+            link_ok(
+                state.spine_link_owner(l).is_some(),
+                state.spine_link_bw_used(l),
+                state.spine_link_bw_spare(l),
+            )
+        })
+}
+
 /// Claim every resource of `alloc` in `state`, one leaf (or L2 switch) run
 /// at a time: consecutive nodes or links of one leaf are one
 /// [`SystemState::claim_leaf_nodes`] / [`SystemState::claim_leaf_uplinks`]
@@ -578,6 +607,28 @@ mod tests {
         let a = raw_alloc(&[0, 1], &[], &[]);
         claim_allocation(&mut state, &a);
         claim_allocation(&mut state, &a);
+    }
+
+    #[test]
+    fn claimable_means_nodes_free_and_links_available() {
+        let mut state = tiny_state();
+        let a = raw_alloc(&[0, 1], &[0], &[3]);
+        assert!(is_claimable(&state, &a));
+        // Disjoint nodes, one shared spine link: not claimable.
+        claim_allocation(&mut state, &raw_alloc(&[4], &[], &[3]));
+        assert!(!is_claimable(&state, &a));
+        assert!(is_claimable(&state, &raw_alloc(&[0, 1], &[0], &[])));
+        // Fractional mode: claimable while the links have bandwidth spare.
+        let cap = state.bandwidth().cap_tenths;
+        let frac = |job, bw| Allocation {
+            job: JobId(job),
+            bw_tenths: bw,
+            ..raw_alloc(&[], &[1], &[])
+        };
+        claim_allocation(&mut state, &frac(2, cap - 5));
+        assert!(is_claimable(&state, &frac(3, 5)));
+        assert!(!is_claimable(&state, &frac(3, 6)));
+        assert!(!is_claimable(&state, &raw_alloc(&[], &[1], &[])));
     }
 
     #[test]

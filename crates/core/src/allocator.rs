@@ -148,7 +148,12 @@ pub trait Allocator: Send {
         0
     }
 
-    /// Clone into a boxed trait object (see the trait docs).
+    /// Clone into a boxed trait object, bookkeeping included (see the
+    /// trait docs). The simulator clones once per replay of the future
+    /// machine, and conservative backfilling once more per candidate
+    /// instant, to hold reservations and try a job without touching the
+    /// replay's own copy; so clones should be cheap, and scratch buffers
+    /// need not carry over (Jigsaw's `SearchScratch` clones empty).
     fn clone_box(&self) -> Box<dyn Allocator>;
 
     /// A pristine allocator of the same scheme, as if newly constructed —

@@ -28,12 +28,10 @@ pub enum Kind {
     /// One punctuation character (multi-char operators arrive as a
     /// sequence: `->` is `-` then `>`).
     Punct(char),
-    /// A string literal (plain, raw, or byte). The *inner* text is kept —
-    /// escape sequences unprocessed — because the cross-file rules
-    /// (R8/R9) compare registered metric names and protocol verb tables,
-    /// which live in string literals. Rule patterns must still never
-    /// match *inside* them: the contents are data, not tokens.
-    Str(String),
+    /// A string literal (plain, raw, or byte). Contents deliberately
+    /// discarded: they are data, and rule patterns must never match
+    /// inside them.
+    Str,
     /// A numeric/char/lifetime literal. Contents deliberately discarded.
     Lit,
 }
@@ -63,14 +61,6 @@ impl Tok {
     /// `true` iff this token is the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == Kind::Punct(c)
-    }
-
-    /// The inner text, if this token is a string literal.
-    pub fn str_lit(&self) -> Option<&str> {
-        match &self.kind {
-            Kind::Str(s) => Some(s),
-            _ => None,
-        }
     }
 }
 
@@ -186,8 +176,6 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Suppression>) {
             }
             if chars.get(i) == Some(&'"') {
                 bump!(1);
-                let content_start = i;
-                let mut content_end = chars.len();
                 // Scan for `"` followed by `hashes` hashes.
                 'scan: while i < chars.len() {
                     if chars[i] == '"' {
@@ -199,7 +187,6 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Suppression>) {
                             }
                         }
                         if ok {
-                            content_end = i;
                             bump!(1 + hashes);
                             break 'scan;
                         }
@@ -207,7 +194,7 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Suppression>) {
                     bump!(1);
                 }
                 toks.push(Tok {
-                    kind: Kind::Str(chars[content_start..content_end].iter().collect()),
+                    kind: Kind::Str,
                     line: tline,
                     col: tcol,
                     in_test: false,
@@ -247,13 +234,10 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Suppression>) {
         if c == '"' {
             let (tline, tcol) = (line, col);
             bump!(1);
-            let content_start = i;
-            let mut content_end = chars.len();
             while i < chars.len() {
                 if chars[i] == '\\' {
                     bump!(2);
                 } else if chars[i] == '"' {
-                    content_end = i;
                     bump!(1);
                     break;
                 } else {
@@ -261,11 +245,7 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Suppression>) {
                 }
             }
             toks.push(Tok {
-                kind: Kind::Str(
-                    chars[content_start..content_end.min(chars.len())]
-                        .iter()
-                        .collect(),
-                ),
+                kind: Kind::Str,
                 line: tline,
                 col: tcol,
                 in_test: false,
@@ -590,16 +570,17 @@ mod tests {
     fn string_literal_contents_are_kept_but_not_tokens() {
         let src = r##"reg.counter("jigsaw_x_total", r#"help "quoted""#);"##;
         let (toks, _) = lex(src);
-        let strs: Vec<&str> = toks.iter().filter_map(|t| t.str_lit()).collect();
-        assert_eq!(strs, vec!["jigsaw_x_total", r#"help "quoted""#]);
-        assert!(toks.iter().all(|t| t.ident() != Some("jigsaw_x_total")));
+        let strs = toks.iter().filter(|t| t.kind == Kind::Str).count();
+        assert_eq!(strs, 2);
+        assert_eq!(idents(src), vec!["reg", "counter"]);
     }
 
     #[test]
     fn byte_string_prefix_keeps_contents() {
-        let (toks, _) = lex(r#"let x = b"bytes here";"#);
-        let strs: Vec<&str> = toks.iter().filter_map(|t| t.str_lit()).collect();
-        assert_eq!(strs, vec!["bytes here"]);
+        let src = r#"let x = b"bytes here";"#;
+        let (toks, _) = lex(src);
+        assert_eq!(toks.iter().filter(|t| t.kind == Kind::Str).count(), 1);
+        assert_eq!(idents(src), vec!["let", "x"]);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //!
 //! * **Functions** ([`FnDef`]): name, the token range of their body, and
 //!   whether they are test code. Free, `impl` and nested fns are all
-//!   recorded; [`ParsedFile::enclosing_fn`] returns the
-//!   innermost one containing a token index.
+//!   recorded.
 //! * **`Mutex` struct fields** ([`MutexField`]): every named struct field
 //!   whose type mentions `Mutex`, which is the universe the R7 lock-order
 //!   graph is built over.
@@ -52,24 +51,6 @@ pub struct MutexField {
 pub struct ParsedFile {
     pub fns: Vec<FnDef>,
     pub mutex_fields: Vec<MutexField>,
-}
-
-impl ParsedFile {
-    /// Index (into `self.fns`) of the innermost fn whose body contains
-    /// token `tok_idx`.
-    pub fn enclosing_fn(&self, tok_idx: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        let mut best_span = usize::MAX;
-        for (i, f) in self.fns.iter().enumerate() {
-            if let Some((open, close)) = f.body {
-                if open < tok_idx && tok_idx < close && close - open < best_span {
-                    best = Some(i);
-                    best_span = close - open;
-                }
-            }
-        }
-        best
-    }
 }
 
 /// Parse one file's token stream.
@@ -252,19 +233,6 @@ mod tests {
         let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["free_one", "method", "drop"]);
         assert!(p.fns.iter().all(|f| f.body.is_some()));
-    }
-
-    #[test]
-    fn enclosing_fn_picks_innermost() {
-        let src = "fn outer() { fn inner() { marker(); } }";
-        let (toks, _) = lex(src);
-        let p = parse(&toks);
-        let marker = toks
-            .iter()
-            .position(|t| t.ident() == Some("marker"))
-            .expect("marker token");
-        let idx = p.enclosing_fn(marker).expect("enclosing fn");
-        assert_eq!(p.fns[idx].name, "inner");
     }
 
     #[test]

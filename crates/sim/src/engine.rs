@@ -2,16 +2,16 @@
 //!
 //! FIFO order with EASY backfilling: when the queue head cannot start, it
 //! receives a reservation at the *shadow time* — the earliest future
-//! completion after which it fits, found by replaying completions on a
-//! scratch clone of the allocation state (and of the allocator, for
-//! schemes like TA with internal bookkeeping). Jobs within the lookahead
-//! window may start immediately if they complete before the shadow time or
-//! are resource-disjoint from the shadow allocation, so they can never
-//! delay the head. Runtime estimates are the actual runtimes (the traces
-//! carry no user estimates; the LaaS simulator made the same choice).
-//! Passes that find the machine unchanged reuse the previous pass's head
-//! attempt and backfill probe outcomes through an exact per-epoch memo
-//! (DESIGN §13 "Epoch memo").
+//! completion after which it fits, found by replaying estimated
+//! completions on a copy of the machine (`conservative::Horizon`, shared
+//! with advance reservations and conservative backfilling). Jobs within
+//! the lookahead window may start immediately if they complete before the
+//! shadow time or are resource-disjoint from the shadow allocation, so
+//! they can never delay the head. Runtime estimates are the actual
+//! runtimes (the traces carry no user estimates; the LaaS simulator made
+//! the same choice). Passes that find the machine unchanged reuse the
+//! previous pass's head attempt and backfill probe outcomes through an
+//! exact per-epoch memo (DESIGN §13 "Epoch memo").
 //!
 //! Workload model v2 (DESIGN §13) extends the rigid-job model:
 //!
@@ -40,9 +40,11 @@
 //! assert!(result.makespan > 0.0);
 //! ```
 
+use crate::conservative::Horizon;
 use crate::event::{EventKind, EventQueue};
 use crate::metrics::{mean, InstUtilHistogram, JobRecord};
 use crate::scenario::Scenario;
+use jigsaw_core::alloc::is_claimable;
 use jigsaw_core::defrag::{self, plan_migrations, DefragConfig, MigrationPlan};
 use jigsaw_core::{Allocation, Allocator, JobRequest, Reject, Scheme};
 use jigsaw_obs::{Counter, EventKind as ObsEventKind, Histogram, Registry};
@@ -424,12 +426,12 @@ impl ProbeMemo {
     }
 }
 
-/// An advance reservation the engine has planned but not yet started:
-/// concrete nodes set aside for the job over `[start, est_end)`.
-struct PendingReservation {
-    start: f64,
-    est_end: f64,
-    alloc: Allocation,
+/// Concrete resources set aside for a job over `[start, est_end)`: a
+/// pending advance reservation, or a conservative-backfilling slot.
+pub(crate) struct PendingReservation {
+    pub(crate) start: f64,
+    pub(crate) est_end: f64,
+    pub(crate) alloc: Allocation,
 }
 
 /// Builder for one simulation run — the only way to run the engine.
@@ -806,13 +808,8 @@ impl<'a> Sim<'a> {
             // jigsaw-lint: allow(R1) -- a completion event for a non-running job means the event queue itself is corrupt; continuing would double-release
             .expect("completion of a running job");
         debug_assert!((run.end - t).abs() < EPS, "completion at the recorded end");
-        self.busy_granted -= alloc.nodes.len() as u64;
-        self.granted_log.push((t, self.busy_granted));
-        self.allocator.release(&mut self.state, &alloc);
-        self.allocator.recycle(alloc);
+        self.release_job(i, alloc, t);
         self.epoch += 1;
-        self.busy_req -= self.trace.jobs[i].size as u64;
-        self.busy_log.push((t, self.busy_req));
         self.last_completion = t.max(self.last_completion);
         self.remaining_jobs -= 1;
         // Wake DAG children whose last parent this was. A job completes
@@ -830,6 +827,17 @@ impl<'a> Sim<'a> {
                 }
             }
         }
+    }
+
+    /// Hand a completed or killed job's resources back to the allocator
+    /// and log the drop in busy nodes.
+    fn release_job(&mut self, i: usize, alloc: Allocation, t: f64) {
+        self.busy_granted -= alloc.nodes.len() as u64;
+        self.granted_log.push((t, self.busy_granted));
+        self.allocator.release(&mut self.state, &alloc);
+        self.allocator.recycle(alloc);
+        self.busy_req -= self.trace.jobs[i].size as u64;
+        self.busy_log.push((t, self.busy_req));
     }
 
     fn handle_failure(&mut self, t: f64) {
@@ -854,12 +862,7 @@ impl<'a> Sim<'a> {
             if let Some((_, alloc)) = self.running.remove(idx) {
                 let i = idx as usize;
                 self.epochs[i] += 1;
-                self.busy_granted -= alloc.nodes.len() as u64;
-                self.granted_log.push((t, self.busy_granted));
-                self.allocator.release(&mut self.state, &alloc);
-                self.allocator.recycle(alloc);
-                self.busy_req -= self.trace.jobs[i].size as u64;
-                self.busy_log.push((t, self.busy_req));
+                self.release_job(i, alloc, t);
                 let rec = &mut self.records[i];
                 rec.start = f64::NAN;
                 rec.end = f64::NAN;
@@ -883,45 +886,21 @@ impl<'a> Sim<'a> {
     /// and set them aside. If no placement exists even then, the job falls
     /// back to the regular queue immediately.
     fn register_reservation(&mut self, idx: u32, start: f64) {
-        let i = idx as usize;
-        let (id, size, bw) = {
-            let j = &self.trace.jobs[i];
-            (j.id, j.size, j.bw_tenths)
-        };
-        let est = self.estimates[i];
-        let req = JobRequest::with_bandwidth(JobId(id), size, bw);
-        // Reconstruct the machine as the scheduler expects it at `start`.
-        let mut scratch = self.state.clone();
-        let mut salloc = self.allocator.clone_box();
-        let mut completions: Vec<(f64, u32, &Allocation)> = self
-            .running
-            .iter()
-            .map(|(r, a)| (r.estimated_end, r.idx, a))
-            .collect();
-        completions.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (end, _, alloc) in completions {
-            if end <= start + EPS {
-                salloc.release(&mut scratch, alloc);
-            }
-        }
-        // Earlier reservations overlapping [start, start + est) keep their
-        // nodes. Adoption is guarded: if a node is still claimed on the
-        // scratch (its releasing job outlives `start` per the estimates),
-        // skip the adoption — a conservative approximation; the claim-time
-        // re-check keeps the system safe either way.
+        let est = self.estimates[idx as usize];
+        let req = self.request(idx);
+        let mut horizon = Horizon::new(&self.state, self.allocator.as_ref(), &self.running);
+        horizon.advance_to(start + EPS);
+        // Reservations overlapping [start, start + est) keep their resources.
         for r in self.reservations.values() {
-            if r.start < start + est - EPS
-                && start < r.est_end - EPS
-                && scratch.all_nodes_free(&r.alloc.nodes)
-            {
-                salloc.adopt(&mut scratch, &r.alloc);
+            if r.start < start + est - EPS && start < r.est_end - EPS {
+                horizon.adopt(&r.alloc);
             }
         }
         let t0 = Instant::now();
-        let result = salloc.try_admit(&mut scratch, &req);
+        let result = horizon.alloc.try_admit(&mut horizon.state, &req);
         self.sched_wall += t0.elapsed().as_secs_f64();
         self.sched_calls += 1;
-        self.search_steps += salloc.last_search_steps();
+        self.search_steps += horizon.alloc.last_search_steps();
         match result {
             Ok(alloc) => {
                 // If `start == now`, the event lands in the event batch
@@ -951,50 +930,24 @@ impl<'a> Sim<'a> {
     fn claim_due_reservations(&mut self, t: f64) {
         let due = std::mem::take(&mut self.due_reservations);
         for idx in due {
-            let i = idx as usize;
-            if self.dropped[i] {
-                if self.reservations.remove(&idx).is_some() {
-                    self.epoch += 1;
-                }
-                continue;
-            }
             let Some(r) = self.reservations.remove(&idx) else {
-                continue; // already claimed (same-instant registration)
+                continue; // claimed (same-instant registration) or dropped
             };
             self.epoch += 1;
-            if self.state.all_nodes_free(&r.alloc.nodes) {
+            if is_claimable(&self.state, &r.alloc) {
                 self.allocator.adopt(&mut self.state, &r.alloc);
                 self.start_job(idx, r.alloc, t);
                 continue;
             }
-            // The planned nodes were stolen (estimate drift or a node
-            // failure): replan right now.
-            let (id, size, bw) = {
-                let j = &self.trace.jobs[i];
-                (j.id, j.size, j.bw_tenths)
-            };
-            let req = JobRequest::with_bandwidth(JobId(id), size, bw);
-            match self.timed_allocate(&req) {
-                Ok(alloc) => {
-                    if self.delays_reservation(&alloc, t + self.estimates[i]) {
-                        self.allocator.release(&mut self.state, &alloc);
-                        self.allocator.recycle(alloc);
-                        self.miss_reservation(idx);
-                    } else {
-                        self.start_job(idx, alloc, t);
-                    }
-                }
-                Err(_) => self.miss_reservation(idx),
+            // The planned nodes or links were taken (estimate drift, a
+            // node failure): replan right now, or miss the reservation and
+            // go to the queue front (reserving first means waiting longest).
+            let replanned = self.timed_allocate(&self.request(idx));
+            if !replanned.is_ok_and(|alloc| self.start_unless_gated(idx, alloc, t)) {
+                self.reservations_missed += 1;
+                self.queue.push_front(idx);
             }
         }
-    }
-
-    /// A reservation could not be honored at its start: count the miss and
-    /// push the job to the queue front (it has waited the longest by
-    /// definition of having reserved first).
-    fn miss_reservation(&mut self, idx: u32) {
-        self.reservations_missed += 1;
-        self.queue.push_front(idx);
     }
 
     /// Would starting a job on `alloc` (estimated to end at `est_end`)
@@ -1048,21 +1001,13 @@ impl<'a> Sim<'a> {
         if self.sync_memo(idx).head_blocked {
             return HeadAttempt::NoFit { fits_empty: true };
         }
-        let i = idx as usize;
-        let (id, size, bw) = {
-            let j = &self.trace.jobs[i];
-            (j.id, j.size, j.bw_tenths)
-        };
-        let req = JobRequest::with_bandwidth(JobId(id), size, bw);
+        let req = self.request(idx);
         let attempt = match self.timed_allocate(&req) {
             Ok(alloc) => {
-                if self.delays_reservation(&alloc, t + self.estimates[i]) {
-                    self.allocator.release(&mut self.state, &alloc);
-                    self.allocator.recycle(alloc);
-                    HeadAttempt::Gated
-                } else {
-                    self.start_job(idx, alloc, t);
+                if self.start_unless_gated(idx, alloc, t) {
                     HeadAttempt::Started
+                } else {
+                    HeadAttempt::Gated
                 }
             }
             Err(reject) => match self.config.defrag {
@@ -1263,8 +1208,7 @@ impl<'a> Sim<'a> {
     /// nothing changed), and goes back into the memo unless a backfill
     /// start moved the epoch.
     fn backfill_easy_pass(&mut self, head: u32, t: f64) {
-        let j = &self.trace.jobs[head as usize];
-        let req = JobRequest::with_bandwidth(JobId(j.id), j.size, j.bw_tenths);
+        let req = self.request(head);
         let shadow = match self.sync_memo(head).shadow.take() {
             Some(shadow) => {
                 debug_assert!(
@@ -1292,34 +1236,19 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Replay future completions on scratch copies to find the earliest
-    /// time the head job fits, and the allocation it would get (the
-    /// shadow). Pending advance reservations hold their nodes on the
-    /// scratch until their estimated ends, so the head is never promised
-    /// resources already set aside.
+    /// Replay estimated completions one at a time to find the earliest time
+    /// the head fits and its allocation then (the shadow). Pending advance
+    /// reservations hold their resources until their estimated ends.
     fn compute_reservation(&self, req: &JobRequest) -> Option<(f64, Allocation)> {
-        let mut scratch_state = self.state.clone();
-        let mut scratch_alloc = self.allocator.clone_box();
-        let mut timeline: Vec<(f64, u32, &Allocation)> = self
-            .running
-            .iter()
-            .map(|(r, a)| (r.estimated_end, r.idx, a))
-            .collect();
+        let mut horizon = Horizon::new(&self.state, self.allocator.as_ref(), &self.running);
         for (&i, r) in &self.reservations {
-            // Guarded adoption (see `register_reservation`).
-            if scratch_state.all_nodes_free(&r.alloc.nodes) {
-                scratch_alloc.adopt(&mut scratch_state, &r.alloc);
-                timeline.push((r.est_end, i, &r.alloc));
-            }
+            horizon.hold_until(i, r.est_end, &r.alloc);
         }
-        // The scheduler only knows *estimated* ends; replay in that order.
-        timeline.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (end, _, alloc) in timeline {
-            scratch_alloc.release(&mut scratch_state, alloc);
-            if scratch_state.free_node_count() < req.size {
+        while let Some(end) = horizon.release_next() {
+            if horizon.state.free_node_count() < req.size {
                 continue;
             }
-            if let Ok(alloc) = scratch_alloc.try_admit(&mut scratch_state, req) {
+            if let Ok(alloc) = horizon.alloc.try_admit(&mut horizon.state, req) {
                 return Some((end, alloc));
             }
         }
@@ -1340,13 +1269,11 @@ impl<'a> Sim<'a> {
         while i < self.queue.len() && inspected < window {
             inspected += 1;
             let idx = self.queue[i];
-            let (id, size, bw) = {
-                let j = &self.trace.jobs[idx as usize];
-                (j.id, j.size, j.bw_tenths)
-            };
+            let req = self.request(idx);
+            let key = (req.size, req.bw_tenths);
             let est_end = t + self.estimates[idx as usize];
             let finishes_in_time = est_end <= shadow_time + EPS;
-            let known_miss = match self.memo.probe((size, bw)) {
+            let known_miss = match self.memo.probe(key) {
                 Some(Probe::Rejected) => true,
                 Some(Probe::Overlaps) => !finishes_in_time,
                 None => false,
@@ -1355,12 +1282,11 @@ impl<'a> Sim<'a> {
                 !known_miss || self.memo.digest == self.state_digest(),
                 "the machine changed without an epoch bump"
             );
-            if known_miss || size > self.state.free_node_count() {
+            if known_miss || req.size > self.state.free_node_count() {
                 self.obs.backfill_misses.inc();
                 i += 1;
                 continue;
             }
-            let req = JobRequest::with_bandwidth(JobId(id), size, bw);
             match self.timed_allocate(&req) {
                 Ok(alloc) => {
                     let overlaps = !finishes_in_time && !alloc.is_disjoint_from(shadow_alloc);
@@ -1370,8 +1296,8 @@ impl<'a> Sim<'a> {
                         self.obs.backfill_hits.inc();
                         self.obs.registry.event(
                             ObsEventKind::Backfill,
-                            Some(id),
-                            format_args!("size={size} ahead_of_head"),
+                            Some(req.id.0),
+                            format_args!("size={} ahead_of_head", req.size),
                         );
                         self.queue.remove(i);
                         // Do not advance i: the next candidate shifted in.
@@ -1379,14 +1305,14 @@ impl<'a> Sim<'a> {
                         self.allocator.release(&mut self.state, &alloc);
                         self.allocator.recycle(alloc);
                         if overlaps && self.epoch == shadow_epoch {
-                            self.memo.probes.push(((size, bw), Probe::Overlaps));
+                            self.memo.probes.push((key, Probe::Overlaps));
                         }
                         self.obs.backfill_misses.inc();
                         i += 1;
                     }
                 }
                 Err(_) => {
-                    self.memo.probes.push(((size, bw), Probe::Rejected));
+                    self.memo.probes.push((key, Probe::Rejected));
                     self.obs.backfill_misses.inc();
                     i += 1;
                 }
@@ -1403,22 +1329,12 @@ impl<'a> Sim<'a> {
                 (qi, j.size, j.bw_tenths, self.estimates[qi as usize])
             })
             .collect();
-        // Advance reservations enter the plan as immovable fixed slots.
-        let fixed: Vec<crate::conservative::FixedReservation> = self
-            .reservations
-            .values()
-            .map(|r| crate::conservative::FixedReservation {
-                start: r.start,
-                end: r.est_end,
-                alloc: r.alloc.clone(),
-            })
-            .collect();
         let t0 = Instant::now();
-        let plan = crate::conservative::plan(
+        let (start_now, _) = crate::conservative::plan(
             &self.state,
             self.allocator.as_ref(),
             &self.running,
-            &fixed,
+            &self.reservations.values().collect::<Vec<_>>(),
             &waiting,
             t,
             self.config.backfill_window,
@@ -1428,29 +1344,32 @@ impl<'a> Sim<'a> {
         // Start the planned jobs in FIFO order (the plan allocated them in
         // this order on an identical scratch state, so each real
         // allocation succeeds).
-        let start_idxs: Vec<u32> = plan.start_now.iter().map(|&qi| waiting[qi].0).collect();
+        let start_idxs: Vec<u32> = start_now.iter().map(|&qi| waiting[qi].0).collect();
         for idx in start_idxs {
-            let i = idx as usize;
-            let (id, size, bw) = {
-                let j = &self.trace.jobs[i];
-                (j.id, j.size, j.bw_tenths)
-            };
-            let req = JobRequest::with_bandwidth(JobId(id), size, bw);
             let alloc = self
-                .timed_allocate(&req)
+                .timed_allocate(&self.request(idx))
                 // jigsaw-lint: allow(R1) -- the conservative planner verified this allocation on a scratch clone of the identical state; failing here means the planner and state diverged
                 .expect("conservative plan verified this fits");
             // Belt and braces: the planner already treats reservations as
             // fixed obstacles, but never let a divergence start a job over
             // reserved resources.
-            if self.delays_reservation(&alloc, t + self.estimates[i]) {
-                self.allocator.release(&mut self.state, &alloc);
-                self.allocator.recycle(alloc);
-                continue;
+            if self.start_unless_gated(idx, alloc, t) {
+                self.queue.retain(|&q| q != idx);
             }
-            self.start_job(idx, alloc, t);
-            self.queue.retain(|&q| q != idx);
         }
+    }
+
+    /// Start `idx` on `alloc` unless that would delay a pending advance
+    /// reservation (then `alloc` is handed back); `true` if it started.
+    fn start_unless_gated(&mut self, idx: u32, alloc: Allocation, t: f64) -> bool {
+        let gated = self.delays_reservation(&alloc, t + self.estimates[idx as usize]);
+        if gated {
+            self.allocator.release(&mut self.state, &alloc);
+            self.allocator.recycle(alloc);
+        } else {
+            self.start_job(idx, alloc, t);
+        }
+        !gated
     }
 
     fn start_job(&mut self, idx: u32, alloc: Allocation, t: f64) {
@@ -1482,6 +1401,13 @@ impl<'a> Sim<'a> {
         self.epoch += 1;
         self.first_start.get_or_insert(t);
         self.last_start = t;
+    }
+
+    /// Job `idx`'s request. Its id is the trace index (`Trace::new`), so
+    /// it matches the `JobId` the conservative planner gives queued jobs.
+    fn request(&self, idx: u32) -> JobRequest {
+        let j = &self.trace.jobs[idx as usize];
+        JobRequest::with_bandwidth(JobId(j.id), j.size, j.bw_tenths)
     }
 
     fn timed_allocate(&mut self, req: &JobRequest) -> Result<Allocation, Reject> {

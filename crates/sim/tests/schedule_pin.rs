@@ -6,13 +6,15 @@
 //! defragmentation off/on × two runtime models (exact estimates; 3×
 //! over-estimates plus node failures that kill running jobs) × four
 //! 120-job workloads (Synth, DAG pipelines, DAG fork/join groups, and the
-//! advance-reservation mix) on the radix-8 tree (128 nodes): 240 cells.
-//! Each cell is pinned by one FNV-1a hash over every job's `(start, end,
+//! advance-reservation mix) on the radix-8 tree (128 nodes): 240 cells,
+//! plus 8 cells of conservative backfilling at the paper's depth of 50
+//! ([`DEEP_CELLS`]). Each cell is pinned by one FNV-1a hash over every job's `(start, end,
 //! granted)` plus the run's migration and missed-reservation counts.
 //!
-//! The goldens were recorded at the commit before the engine gained its
-//! per-epoch probe memo and its dense running-allocation set (DESIGN §13
-//! "Epoch memo"), so they pin the schedules of the engine without either.
+//! The 240 goldens were recorded at the commit before the engine gained
+//! its per-epoch probe memo and its dense running-allocation set (DESIGN
+//! §13 "Epoch memo"), so they pin the schedules of the engine without
+//! either.
 //! On a mismatch the failure message lists every cell's current hash in
 //! the golden table's format.
 
@@ -83,9 +85,10 @@ impl Model {
 }
 
 /// The lookahead window, and for conservative backfilling the reservation
-/// depth: 5 rather than the paper's 50 for conservative (as in the
-/// `sim_conservative` benchmark), whose clone-and-replay planning would
-/// otherwise take minutes in a debug build.
+/// depth: 5 rather than the paper's 50 for conservative across the matrix
+/// (as in the `sim_conservative` benchmark), the depth its goldens were
+/// recorded at. The paper's depth is pinned on the cells of
+/// [`DEEP_CELLS`].
 fn window(policy: BackfillPolicy) -> usize {
     match policy {
         BackfillPolicy::Conservative => 5,
@@ -93,37 +96,59 @@ fn window(policy: BackfillPolicy) -> usize {
     }
 }
 
-/// Run the 40 cells of one policy and runtime model, in a fixed order
-/// (scheme, then defragmentation off/on, then workload), and compare each
+/// A cell of one policy and runtime model: the scheme, defragmentation
+/// off/on, and the workload's index in [`workloads`].
+type Cell = (Scheme, bool, usize);
+
+/// The 40 cells of the matrix, in the golden tables' order: scheme, then
+/// defragmentation off/on, then workload.
+fn matrix() -> Vec<Cell> {
+    Scheme::ALL
+        .into_iter()
+        .flat_map(|scheme| [false, true].map(|defrag| (scheme, defrag)))
+        .flat_map(|(scheme, defrag)| (0..4).map(move |w| (scheme, defrag, w)))
+        .collect()
+}
+
+/// Run the 40 cells of one policy and runtime model and compare each
 /// against `golden`.
 fn check(policy: BackfillPolicy, model: Model, golden: &[u64; 40]) {
+    check_cells(policy, window(policy), model, &matrix(), golden);
+}
+
+/// Run `cells` of one policy, window and runtime model, in order, and
+/// compare each against `golden`.
+fn check_cells(
+    policy: BackfillPolicy,
+    window: usize,
+    model: Model,
+    cells: &[Cell],
+    golden: &[u64],
+) {
     let tree = FatTree::maximal(RADIX).unwrap();
     let traces = workloads();
     let mut got = Vec::new();
     let mut killed = 0;
-    for scheme in Scheme::ALL {
-        for defrag in [false, true] {
-            for (name, trace) in &traces {
-                let config = model.apply(SimConfig {
-                    policy,
-                    scenario_seed: SEED,
-                    backfill_window: window(policy),
-                    defrag: defrag.then(DefragConfig::default),
-                    migration_cost_per_node: if defrag { 30.0 } else { 0.0 },
-                    ..SimConfig::default()
-                });
-                let r = Simulation::new(&tree, trace)
-                    .scheme(scheme)
-                    .config(config)
-                    .run();
-                killed += r.killed_jobs;
-                let label = format!(
-                    "{scheme}/{}/{name}",
-                    if defrag { "defrag" } else { "plain" }
-                );
-                got.push((label, schedule_hash(&r)));
-            }
-        }
+    for &(scheme, defrag, w) in cells {
+        let (name, trace) = &traces[w];
+        let config = model.apply(SimConfig {
+            policy,
+            scenario_seed: SEED,
+            backfill_window: window,
+            defrag: defrag.then(DefragConfig::default),
+            migration_cost_per_node: if defrag { 30.0 } else { 0.0 },
+            ..SimConfig::default()
+        });
+        let r = Simulation::new(&tree, trace)
+            .scheme(scheme)
+            .config(config)
+            .run();
+        killed += r.killed_jobs;
+        let label = format!(
+            "{scheme}/{}/{name}",
+            if defrag { "defrag" } else { "plain" }
+        );
+        got.push((label, schedule_hash(&r)));
     }
     assert_eq!(
         killed > 0,
@@ -142,8 +167,9 @@ fn check(policy: BackfillPolicy, model: Model, golden: &[u64; 40]) {
             .map(|(label, h)| format!("    {h:#018x}, // {label}\n"))
             .collect();
         panic!(
-            "{} of 40 {policy:?}/{model:?} schedules changed: {wrong:?}\ncurrent hashes:\n{table}",
-            wrong.len()
+            "{} of {} {policy:?}/{window}/{model:?} schedules changed: {wrong:?}\ncurrent hashes:\n{table}",
+            wrong.len(),
+            cells.len(),
         );
     }
 }
@@ -193,6 +219,58 @@ fn conservative_faulty_schedules_are_pinned() {
         &GOLDEN_CONSERVATIVE_FAULTY,
     );
 }
+
+/// Conservative backfilling at the paper's reservation depth of 50, on
+/// the defragmenting Jigsaw and TA cells of the Synth and
+/// advance-reservation workloads: up to 50 queued jobs planned per pass,
+/// under TA's id-keyed bookkeeping and beside advance reservations.
+const DEEP_CELLS: [Cell; 4] = [
+    (Scheme::Jigsaw, true, 0),
+    (Scheme::Jigsaw, true, 3),
+    (Scheme::Ta, true, 0),
+    (Scheme::Ta, true, 3),
+];
+
+#[test]
+fn conservative_depth_50_exact_schedules_are_pinned() {
+    check_cells(
+        BackfillPolicy::Conservative,
+        50,
+        Model::Exact,
+        &DEEP_CELLS,
+        &GOLDEN_DEEP_EXACT,
+    );
+}
+
+#[test]
+fn conservative_depth_50_faulty_schedules_are_pinned() {
+    check_cells(
+        BackfillPolicy::Conservative,
+        50,
+        Model::OverAndFailures,
+        &DEEP_CELLS,
+        &GOLDEN_DEEP_FAULTY,
+    );
+}
+
+/// Recorded at the commit before conservative planning swept one horizon,
+/// except Jigsaw/defrag/reserved_mix under exact estimates: there that
+/// commit's planner adopted two planned slots sharing a spine link onto
+/// one scratch state and panicked, and the hash is the first run's that
+/// completes (every other cell's schedule and scheduling-call count is
+/// unchanged by the fix).
+const GOLDEN_DEEP_EXACT: [u64; 4] = [
+    0x74d7c7a30c25ec3e, // Jigsaw/defrag/synth
+    0x35cee42fe375c2e2, // Jigsaw/defrag/reserved_mix
+    0x4c3dfbf1aa25cd14, // TA/defrag/synth
+    0x0beba7d792285025, // TA/defrag/reserved_mix
+];
+const GOLDEN_DEEP_FAULTY: [u64; 4] = [
+    0x8cd847f91503ea93, // Jigsaw/defrag/synth
+    0x6d9a13ad75509a3c, // Jigsaw/defrag/reserved_mix
+    0xb0fa59a84879a68c, // TA/defrag/synth
+    0x13c710912146ad94, // TA/defrag/reserved_mix
+];
 
 const GOLDEN_FIFO_EXACT: [u64; 40] = [
     0x735d2710c6f0dce5, // Baseline/plain/synth

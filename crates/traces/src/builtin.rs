@@ -44,6 +44,11 @@ const TRACES: [(&str, u32, Generator); 12] = [
     ("reserved_mix", 16, |n, _, seed| reserved_mix(16, n, seed)),
 ];
 
+/// Every built-in trace name, in table order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    TRACES.iter().map(|&(name, _, _)| name)
+}
+
 /// Generate the named trace at `scale` (`1.0` is paper size: 10,000 jobs
 /// for the synthetic and v2 traces) and return it with the radix of its
 /// cluster. `None` for a name that is not a built-in trace.
@@ -71,6 +76,14 @@ mod tests {
         assert_eq!((t, radix), (thunder_model().generate(0.001, 8), 18));
         let (t, radix) = generate("reserved_mix", 0.002, 5).unwrap();
         assert_eq!((t, radix), (reserved_mix(16, 20, 16), 16));
+    }
+
+    #[test]
+    fn every_name_generates() {
+        assert_eq!(names().count(), TRACES.len());
+        for name in names() {
+            assert!(generate(name, 0.001, 1).is_some(), "{name}");
+        }
     }
 
     #[test]
